@@ -75,9 +75,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown strategy in victims: {sid!r}")
         if sum(self.victims.values()) > self.count:
             raise ValueError("more victims than files")
-        for name in self.detectors:
-            if name not in DETECTOR_NAMES:
-                raise ValueError(f"unknown detector: {name!r}")
+        _check_detector_names(self.detectors)
         for sid, mode in self.range_overrides.items():
             if sid not in STRATEGY_IDS:
                 raise ValueError(f"unknown strategy in range_overrides: {sid!r}")
@@ -126,6 +124,12 @@ PRESETS: dict[str, ExperimentConfig] = {
 }
 
 
+def _check_detector_names(names: tuple[str, ...]) -> None:
+    for name in names:
+        if name not in DETECTOR_NAMES:
+            raise ValueError(f"unknown detector: {name!r}")
+
+
 def stage_seed(master: int, label: str) -> int:
     """Per-stage seed: a hash of the master seed and the stage name."""
     digest = hashlib.sha256(f"{master}:{label}".encode()).digest()
@@ -161,14 +165,6 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg = replace(cfg, detectors=tuple(args.detectors.split(",")))
     cfg.validate()
     return cfg
-
-
-def _load_corpus(src: Path) -> tuple[tuple[str, ...], list]:
-    paths = sorted(p.name for p in src.glob("*.gcode"))
-    if not paths:
-        raise ValueError(f"no .gcode files under {src}")
-    docs = [parse_document(src.joinpath(name).read_bytes(), source_path=name) for name in paths]
-    return tuple(paths), docs
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -248,10 +244,19 @@ def write_compromised(
 def detect_corpus(
     src: Path, out: Path, detectors: tuple[str, ...], detector_params: dict[str, dict]
 ) -> list[FlagSet]:
-    """Feature pass plus every requested detector; writes flag sets and CSVs."""
+    """Feature pass plus every requested detector; writes flag sets and CSVs.
+
+    Files are parsed one at a time and each document is dropped once its
+    feature vector is extracted, so memory does not grow with the corpus.
+    """
     out.mkdir(parents=True, exist_ok=True)
-    paths, docs = _load_corpus(src)
-    fm = build_matrix([extract(doc, path=p) for p, doc in zip(paths, docs)])
+    paths = sorted(p.name for p in src.glob("*.gcode"))
+    if not paths:
+        raise ValueError(f"no .gcode files under {src}")
+    fm = build_matrix([
+        extract(parse_document(src.joinpath(name).read_bytes(), source_path=name), path=name)
+        for name in paths
+    ])
     write_features_csv(fm, out / "features.csv")
 
     flag_sets = []
@@ -275,9 +280,7 @@ def detect_corpus(
 
 def cmd_detect(args: argparse.Namespace) -> int:
     detectors = tuple(args.detectors.split(",")) if args.detectors else DETECTOR_NAMES
-    for name in detectors:
-        if name not in DETECTOR_NAMES:
-            raise ValueError(f"unknown detector: {name!r}")
+    _check_detector_names(detectors)
     params = {}
     if args.params:
         params = json.loads(Path(args.params).read_text())
@@ -285,6 +288,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
     for fs in flag_sets:
         print(f"{fs.detector}: flagged {len(fs.flagged)}")
     return 0
+
+
+def _print_confusions(report: dict) -> None:
+    for name, entry in sorted(report["detectors"].items()):
+        cm = entry["confusion"]
+        print(f"{name}: TP={cm['tp']} FP={cm['fp']} TN={cm['tn']} FN={cm['fn']}")
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -298,12 +307,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     truth = CompromisePlan.from_json_dict(json.loads(Path(args.truth).read_text()))
     manifest = DatasetManifest.load(args.manifest)
     all_paths = tuple(entry.path for entry in manifest.entries)
-    report = emit_report(flag_sets, truth, all_paths, Path(args.out))
-    for name, entry in sorted(report["detectors"].items()):
-        cm = entry["confusion"]
-        print(
-            f"{name}: TP={cm['tp']} FP={cm['fp']} TN={cm['tn']} FN={cm['fn']}"
-        )
+    _print_confusions(emit_report(flag_sets, truth, all_paths, Path(args.out)))
     return 0
 
 
@@ -358,9 +362,7 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     (out / "run_metadata.json").write_text(
         json.dumps(metadata, indent=2, sort_keys=True) + "\n"
     )
-    for name, entry in sorted(report["detectors"].items()):
-        cm = entry["confusion"]
-        print(f"{name}: TP={cm['tp']} FP={cm['fp']} TN={cm['tn']} FN={cm['fn']}")
+    _print_confusions(report)
     print(f"run complete -> {out}")
     return 0
 

@@ -134,7 +134,11 @@ def standardize(matrix: np.ndarray) -> np.ndarray:
     mean = matrix.mean(axis=0)
     std = matrix.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
-    return (matrix - mean) / std
+    z = (matrix - mean) / std
+    # The rounded mean of a constant column can miss its value by one ulp,
+    # which would score every row +-1 instead of 0.
+    z[:, (matrix == matrix[:1]).all(axis=0)] = 0.0
+    return z
 
 
 def write_features_csv(fm: FeatureMatrix, path: str | Path) -> None:

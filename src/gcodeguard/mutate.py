@@ -323,12 +323,6 @@ class CompromisePlan:
             ),
         )
 
-    def strategy_for(self, path: str) -> str | None:
-        for v in self.victims:
-            if v.path == path:
-                return v.strategy_id
-        return None
-
 
 def plan_compromise(
     manifest: DatasetManifest, counts: Mapping[str, int], seed: int

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .gcode import GcodeDocument, parse_document, serialize
+from .gcode import GcodeDocument, parse_document
 
 __all__ = [
     "DegenerateGeometryError",
@@ -259,12 +259,16 @@ def _infill_segments(
 
 
 def build_specimen(spec: SpecimenSpec, angle_deg: float, seed: int) -> GcodeDocument:
-    """Emit the toolpath for ``spec`` rotated by ``angle_deg`` about its centre.
+    """The toolpath for ``spec`` rotated by ``angle_deg`` about its centre.
 
-    The result is parsed from the emitted text, so every generated document
-    is valid by construction and serializes back to exactly the bytes that
-    ``generate_dataset`` writes to disk.
+    The document is parsed from the emitted text, so it serializes back to
+    exactly the bytes that ``generate_dataset`` writes to disk.
     """
+    return parse_document(_emit_specimen(spec, angle_deg, seed))
+
+
+def _emit_specimen(spec: SpecimenSpec, angle_deg: float, seed: int) -> str:
+    """The g-code text of one specimen, one command or comment per line."""
     spec.validate()
     if not math.isfinite(angle_deg):
         raise ValueError(f"angle must be finite, got {angle_deg!r}")
@@ -347,7 +351,7 @@ def build_specimen(spec: SpecimenSpec, angle_deg: float, seed: int) -> GcodeDocu
             extrude(*q)
 
     out.extend(["M107", "M140 S0", "M104 S0", "M84"])
-    return parse_document("\n".join(out) + "\n")
+    return "\n".join(out) + "\n"
 
 
 @dataclass(frozen=True)
@@ -420,8 +424,9 @@ def generate_dataset(
         angle = i * angular_step
         file_seed = rng.randrange(2**32)
         name = f"{spec.name}_{i:04d}.gcode"
-        doc = build_specimen(spec, angle, file_seed)
-        (out_path / name).write_bytes(serialize(doc))
+        # Written as emitted, without a parse: tests check that every
+        # generated file parses and serializes back to the same bytes.
+        (out_path / name).write_bytes(_emit_specimen(spec, angle, file_seed).encode("ascii"))
         entries.append(ManifestEntry(path=name, angle_deg=angle, seed=file_seed))
     manifest = DatasetManifest(
         dataset_id=dataset_id,

@@ -3,11 +3,23 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import weakref
 
 import pytest
 
-from gcodeguard.cli import PRESETS, ExperimentConfig, load_config, main, stage_seed
+from gcodeguard import cli
+from gcodeguard.cli import (
+    PRESETS,
+    ExperimentConfig,
+    detect_corpus,
+    load_config,
+    main,
+    stage_seed,
+)
+from gcodeguard.features import build_matrix, extract, write_features_csv
+from gcodeguard.gcode import GcodeDocument, parse_document
 from gcodeguard.mutate import STRATEGY_IDS, RangeMode
 from gcodeguard.synthgen import SpecimenSpec, generate_dataset
 
@@ -198,6 +210,43 @@ class TestPipeline:
         ]) == 0
         for path in flags.iterdir():
             assert (rerun / path.name).read_bytes() == path.read_bytes()
+
+
+class _WeakDocument(GcodeDocument):
+    """A document a weak reference can point at (GcodeDocument has slots)."""
+
+    __slots__ = ("__weakref__",)
+
+
+class TestDetectCorpusSinglePass:
+    def test_features_csv_matches_per_file_extraction(self, tiny_corpus, tmp_path):
+        src, manifest = tiny_corpus
+        detect_corpus(src, tmp_path / "flags", ("single_stat",), {})
+        fm = build_matrix([
+            extract(parse_document((src / en.path).read_bytes()), path=en.path)
+            for en in manifest.entries
+        ])
+        write_features_csv(fm, tmp_path / "expected.csv")
+        assert (tmp_path / "flags" / "features.csv").read_bytes() == (
+            tmp_path / "expected.csv"
+        ).read_bytes()
+
+    def test_one_parsed_document_alive_at_a_time(self, tiny_corpus, tmp_path, monkeypatch):
+        src, manifest = tiny_corpus
+        refs = []
+        alive_before_parse = []
+
+        def tracked_parse(data, source_path=None):
+            gc.collect()
+            alive_before_parse.append(sum(ref() is not None for ref in refs))
+            doc = parse_document(data, source_path=source_path)
+            tracked = _WeakDocument(doc.lines, doc.layer_marks, doc.source_path, doc.final_newline)
+            refs.append(weakref.ref(tracked))
+            return tracked
+
+        monkeypatch.setattr(cli, "parse_document", tracked_parse)
+        detect_corpus(src, tmp_path / "flags", ("single_stat",), {})
+        assert alive_before_parse == [0] * len(manifest.entries)
 
 
 class TestRunAll:

@@ -118,6 +118,12 @@ class TestStandardize:
         z = standardize(m)
         assert np.all(z[:, 1] == 0.0)
 
+    def test_constant_column_off_by_one_ulp_mean_becomes_zero(self):
+        # The rounded mean of three copies of this value misses it by one
+        # ulp, so centring on the mean alone would score every row +-1.
+        z = standardize(np.full((3, 3), -971453.464122493))
+        assert np.all(z == 0.0)
+
     def test_two_point_column_symmetry(self):
         z = standardize(np.array([[1.0], [3.0]]))
         assert z.tolist() == [[-1.0], [1.0]]

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from gcodeguard import synthgen
 from gcodeguard.gcode import parse_document, serialize, simulate
 from gcodeguard.synthgen import (
     GENERATOR_VERSION,
@@ -177,6 +178,14 @@ class TestGenerateDataset:
 
     def test_reconstruction_from_manifest_entry(self, tiny_corpus):
         out, manifest = tiny_corpus
-        entry = manifest.entries[7]
-        doc = build_specimen(TINY_SPEC, entry.angle_deg, entry.seed)
-        assert serialize(doc) == (out / entry.path).read_bytes()
+        for entry in manifest.entries:
+            doc = build_specimen(TINY_SPEC, entry.angle_deg, entry.seed)
+            assert serialize(doc) == (out / entry.path).read_bytes(), entry.path
+
+    def test_writes_without_parsing(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate_dataset parsed its own output")
+
+        monkeypatch.setattr(synthgen, "parse_document", refuse)
+        manifest = generate_dataset(TINY_SPEC, 3, 45.0, tmp_path, seed=8, dataset_id="T")
+        assert len(list(tmp_path.glob("*.gcode"))) == len(manifest.entries) == 3
