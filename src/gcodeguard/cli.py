@@ -24,18 +24,10 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .detectors import (
-    DETECTOR_NAMES,
-    FlagSet,
-    cluster_agglomerative,
-    fit_pca,
-    run_detector,
-)
+from .detectors import DETECTOR_NAMES, FlagSet, run_detectors
 from .evaluate import emit_report
-from .features import build_matrix, extract, standardize, write_features_csv
+from .features import build_matrix, extract, write_features_csv
 from .gcode import parse_document, serialize
 from .mutate import (
     STRATEGY_IDS,
@@ -248,8 +240,9 @@ def detect_corpus(
 
     Files are parsed one at a time and each document is dropped once its
     feature vector is extracted, so memory does not grow with the corpus.
+    Nothing is written until every detector has returned, so a detector
+    that fails leaves no partial output behind.
     """
-    out.mkdir(parents=True, exist_ok=True)
     paths = sorted(p.name for p in src.glob("*.gcode"))
     if not paths:
         raise ValueError(f"no .gcode files under {src}")
@@ -257,20 +250,12 @@ def detect_corpus(
         extract(parse_document(src.joinpath(name).read_bytes(), source_path=name), path=name)
         for name in paths
     ])
+    flag_sets, pts, labels = run_detectors(fm, detectors, detector_params)
+
+    out.mkdir(parents=True, exist_ok=True)
     write_features_csv(fm, out / "features.csv")
-
-    flag_sets = []
-    for name in detectors:
-        fs = run_detector(name, fm, detector_params.get(name))
-        fs.save(out / f"{name}.json")
-        flag_sets.append(fs)
-
-    z = standardize(fm.matrix)
-    pts = fit_pca(z, 2).transform(z)
-    if "pca_agglomerative" in detectors:
-        labels = cluster_agglomerative(pts)
-    else:
-        labels = np.full(len(pts), -1, dtype=np.int64)
+    for fs in flag_sets:
+        fs.save(out / f"{fs.detector}.json")
     with open(out / "pca_scatter.csv", "w", newline="") as fh:
         fh.write("path,pc1,pc2,cluster_label\n")
         for p, (pc1, pc2), lab in zip(paths, pts, labels):

@@ -14,7 +14,10 @@ Five detectors share one input, the corpus ``FeatureMatrix``:
 
 None of them uses ground truth, a reference model, or fitted state from
 other corpora; everything is relative to the corpus at hand. Clustering is
-implemented here directly so the only numerical dependency is numpy.
+implemented here directly so the only numerical dependency is numpy; one
+chunked kernel, ``_sq_dists``, gives every clustering step its distances.
+``run_detectors`` standardizes and projects a corpus once for all detectors
+and returns that projection and the Ward labels for ``pca_scatter.csv``.
 
 Modified z-scores follow the 0.6745 * (x - median) / MAD convention with
 threshold 3.5. When MAD degenerates to zero the detectors fall back to
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -46,11 +50,17 @@ __all__ = [
     "knee_epsilon",
     "flags_from_clusters",
     "run_detector",
+    "run_detectors",
 ]
 
 Z_THRESHOLD = 3.5
 Z_SCALE = 0.6745
 SMALL_CLUSTER_FRACTION = 0.01
+MEANSHIFT_TOL = 1e-6
+MEANSHIFT_MAX_ITER = 300
+# Scalars per difference block in _sq_dists: 8 MB of float64 whatever the
+# dimension, so peak memory is the n*m result, not an n*m*d tensor.
+_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -232,19 +242,17 @@ def fit_pca(matrix: np.ndarray, n_components: int = 2) -> PCAModel:
     )
 
 
-def _relabel_by_first_member(assignment: np.ndarray) -> np.ndarray:
-    """Renumber cluster ids (noise -1 kept) in order of first appearance."""
-    labels = np.full(len(assignment), -1, dtype=np.int64)
-    next_id = 0
-    seen: dict[int, int] = {}
-    for i, a in enumerate(assignment):
-        if a == -1:
-            continue
-        if a not in seen:
-            seen[a] = next_id
-            next_id += 1
-        labels[i] = seen[a]
-    return labels
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and ``b``.
+
+    ``a`` is taken in row blocks, which give the same bits as one block.
+    """
+    out = np.empty((len(a), len(b)))
+    step = max(1, _CHUNK_ELEMENTS // max(b.size, 1))
+    for start in range(0, len(a), step):
+        diff = a[start : start + step, None, :] - b[None, :, :]
+        out[start : start + step] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
 
 
 def cluster_agglomerative(points: np.ndarray) -> np.ndarray:
@@ -265,39 +273,27 @@ def cluster_agglomerative(points: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
+    if n <= 1:
+        return np.zeros(n, dtype=np.int64)
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(d2, np.inf)
+    work = _sq_dists(pts, pts)
+    np.fill_diagonal(work, np.inf)
     sizes = np.ones(n)
     active = np.ones(n, dtype=bool)
     merges: list[tuple[int, int]] = []
-    heights: list[float] = []
-    parent = np.arange(n)
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    work = d2.copy()
-    merge_sizes: list[tuple[float, float]] = []
+    prominence: list[float] = []
     for _ in range(n - 1):
         flat = np.argmin(work)
         i, j = divmod(int(flat), n)
         if i > j:
             i, j = j, i
         cost = work[i, j]
-        heights.append(float(np.sqrt(cost)))
-        merges.append((i, j))
-        merge_sizes.append((float(sizes[i]), float(sizes[j])))
-        # Lance-Williams update for Ward: cluster j folds into cluster i.
         ni, nj = sizes[i], sizes[j]
+        # Ward height = sqrt(ni*nj/(ni+nj)) * centroid distance; divide the size
+        # factor back out so merges are compared by separation alone.
+        prominence.append(float(np.sqrt(cost) / np.sqrt(ni * nj / (ni + nj))))
+        merges.append((i, j))
+        # Lance-Williams update for Ward: cluster j folds into cluster i.
         others = active.copy()
         others[i] = others[j] = False
         nk = sizes[others]
@@ -312,58 +308,49 @@ def cluster_agglomerative(points: np.ndarray) -> np.ndarray:
 
     if n == 2:
         return np.array([0, 1], dtype=np.int64)
-    h = np.array(heights)
-    sz = np.array(merge_sizes)
-    # Ward height = sqrt(ni*nj/(ni+nj)) * centroid distance; divide the size
-    # factor back out so merges are compared by separation alone.
-    prominence = h / np.sqrt(sz[:, 0] * sz[:, 1] / (sz[:, 0] + sz[:, 1]))
-    pmax = float(prominence.max())
+    pmax = max(prominence)
     if pmax <= 0.0:
         return np.zeros(n, dtype=np.int64)
     # Stop before the earliest merge at least half as separated as the most
     # separated one; performing merges[:first] leaves n - first clusters.
-    first = int(np.argmax(prominence >= pmax / 2.0))
+    first = next(k for k, p in enumerate(prominence) if p >= pmax / 2.0)
+    # A merge keeps the lower index of the pair as its cluster's id.
+    roots = np.arange(n)
     for i, j in merges[:first]:
-        parent[find(j)] = find(i)
-    roots = np.array([find(i) for i in range(n)])
-    return _relabel_by_first_member(roots)
+        roots[roots == j] = i
+    # Number the clusters in order of their first member.
+    _, first_member, inverse = np.unique(roots, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first_member))[inverse]
 
 
-def cluster_meanshift(
-    points: np.ndarray,
-    bandwidth: float | None = None,
-    tol: float = 1e-6,
-    max_iter: int = 300,
-) -> np.ndarray:
+def cluster_meanshift(points: np.ndarray, bandwidth: float | None = None) -> np.ndarray:
     """Flat-kernel mean shift.
 
     Default bandwidth is the 30th percentile of pairwise distances. Every
     point ascends to the mean of its bandwidth-neighbours until it moves
-    less than ``tol``; converged positions within ``bandwidth / 2`` of each
-    other collapse to one mode, scanned in point order. A bandwidth of zero
-    (all points identical) is an error.
+    less than ``MEANSHIFT_TOL`` (or for ``MEANSHIFT_MAX_ITER`` steps);
+    converged positions within ``bandwidth / 2`` of each other collapse to
+    one mode, scanned in point order. A bandwidth of zero (all points
+    identical) is an error.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
     if n <= 1:
         return np.zeros(n, dtype=np.int64)
     if bandwidth is None:
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        pair = dist[np.triu_indices(n, k=1)]
+        pair = np.sqrt(_sq_dists(pts, pts)[np.triu_indices(n, k=1)])
         bandwidth = float(np.percentile(pair, 30))
     if bandwidth <= 0.0:
         raise ValueError("bandwidth is zero: all points identical")
 
     modes = pts.copy()
-    for _ in range(max_iter):
-        diff = modes[:, None, :] - pts[None, :, :]
-        within = np.einsum("ijk,ijk->ij", diff, diff) <= bandwidth * bandwidth
+    for _ in range(MEANSHIFT_MAX_ITER):
+        within = _sq_dists(modes, pts) <= bandwidth * bandwidth
         counts = within.sum(axis=1)
         new_modes = (within.astype(np.float64) @ pts) / counts[:, None]
         shift = np.linalg.norm(new_modes - modes, axis=1)
         modes = new_modes
-        if shift.max() < tol:
+        if shift.max() < MEANSHIFT_TOL:
             break
 
     centers: list[np.ndarray] = []
@@ -400,8 +387,7 @@ def knee_epsilon(matrix: np.ndarray, k: int = 4) -> float:
     n = len(x)
     if n <= k:
         raise ValueError(f"need more than {k} points, got {n}")
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dist = np.sqrt(_sq_dists(x, x))
     np.fill_diagonal(dist, np.inf)
     kth = np.sort(dist, axis=1)[:, k - 1]
     curve = np.sort(kth)
@@ -442,15 +428,7 @@ def cluster_dbscan(
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
 
-    neighbors: list[np.ndarray] = []
-    eps2 = eps * eps
-    chunk = 512
-    for start in range(0, n, chunk):
-        block = x[start : start + chunk]
-        diff = block[:, None, :] - x[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        for row in d2 <= eps2:
-            neighbors.append(np.flatnonzero(row))
+    neighbors = [np.flatnonzero(row) for row in _sq_dists(x, x) <= eps * eps]
 
     labels = np.full(n, -2, dtype=np.int64)  # -2: unvisited
     cluster = 0
@@ -478,9 +456,7 @@ def cluster_dbscan(
 
 
 def flags_from_clusters(
-    labels: np.ndarray,
-    paths: tuple[str, ...],
-    min_fraction: float = SMALL_CLUSTER_FRACTION,
+    labels: np.ndarray, min_fraction: float = SMALL_CLUSTER_FRACTION
 ) -> tuple[np.ndarray, float]:
     """Suspicion mask from a clustering: noise plus tiny clusters.
 
@@ -514,6 +490,62 @@ def _cluster_scores(labels: np.ndarray) -> np.ndarray:
     )
 
 
+@dataclass(frozen=True)
+class _Projection:
+    """A corpus's standardized counts and 2-component PCA, each made on first use."""
+
+    fm: FeatureMatrix
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        return standardize(self.fm.matrix)
+
+    @cached_property
+    def pca(self) -> PCAModel:
+        return fit_pca(self.z, n_components=2)
+
+    @cached_property
+    def pts(self) -> np.ndarray:
+        return self.pca.transform(self.z)
+
+
+def _detect(
+    name: str, space: _Projection, params: dict | None
+) -> tuple[FlagSet, np.ndarray | None]:
+    """One detector's flag set, plus its cluster labels when it clusters."""
+    params = dict(params or {})
+    fm = space.fm
+    if name in ("single_stat", "combined_stat"):
+        stat = detect_single_stat if name == "single_stat" else detect_combined_stat
+        return stat(fm, params.pop("threshold", Z_THRESHOLD)), None
+
+    min_fraction = params.pop("min_fraction", SMALL_CLUSTER_FRACTION)
+    if name in ("pca_agglomerative", "pca_meanshift"):
+        parameters = {
+            "space": "pca2 of standardized counts",
+            "explained_variance": [float(v) for v in space.pca.explained_variance],
+        }
+        if name == "pca_agglomerative":
+            labels = cluster_agglomerative(space.pts)
+        else:
+            bandwidth = params.pop("bandwidth", None)
+            labels = cluster_meanshift(space.pts, bandwidth=bandwidth)
+            parameters["bandwidth"] = bandwidth if bandwidth is not None else "p30 pairwise"
+    elif name == "dbscan":
+        min_samples = params.pop("min_samples", 5)
+        labels, eps = cluster_dbscan(space.z, eps=params.pop("eps", None), min_samples=min_samples)
+        parameters = {"space": "standardized counts", "eps": eps, "min_samples": min_samples}
+    else:
+        raise ValueError(f"unknown detector: {name!r}")
+    mask, threshold = flags_from_clusters(labels, min_fraction)
+    parameters.update(
+        small_cluster_max=threshold,
+        clusters=int(labels.max()) + 1 if len(labels) else 0,
+        score="1/cluster size (noise: 1)",
+    )
+    return _flagset(name, parameters, fm, mask, _cluster_scores(labels)), labels
+
+
 def run_detector(name: str, fm: FeatureMatrix, params: dict | None = None) -> FlagSet:
     """Run one registered detector with optional parameter overrides.
 
@@ -521,45 +553,24 @@ def run_detector(name: str, fm: FeatureMatrix, params: dict | None = None) -> Fl
     (mean shift), ``eps`` and ``min_samples`` (dbscan), ``min_fraction``
     (all clustering detectors).
     """
-    params = dict(params or {})
-    if name == "single_stat":
-        return detect_single_stat(fm, params.pop("threshold", Z_THRESHOLD))
-    if name == "combined_stat":
-        return detect_combined_stat(fm, params.pop("threshold", Z_THRESHOLD))
+    return _detect(name, _Projection(fm), params)[0]
 
-    min_fraction = params.pop("min_fraction", SMALL_CLUSTER_FRACTION)
-    z = standardize(fm.matrix)
-    if name in ("pca_agglomerative", "pca_meanshift"):
-        pca = fit_pca(z, n_components=2)
-        pts = pca.transform(z)
+
+def run_detectors(
+    fm: FeatureMatrix, names: tuple[str, ...], params: dict[str, dict]
+) -> tuple[list[FlagSet], np.ndarray, np.ndarray]:
+    """Run detectors on one standardization and one PCA of ``fm``.
+
+    ``params`` maps names to ``run_detector`` overrides. Returns the flag
+    sets in ``names`` order, the PCA projection, and the Ward labels of
+    ``pca_agglomerative`` (all -1 when it was not requested).
+    """
+    space = _Projection(fm)
+    flag_sets = []
+    ward = np.full(len(fm.paths), -1, dtype=np.int64)
+    for name in names:
+        fs, labels = _detect(name, space, params.get(name))
         if name == "pca_agglomerative":
-            labels = cluster_agglomerative(pts)
-            extra = {}
-        else:
-            bandwidth = params.pop("bandwidth", None)
-            labels = cluster_meanshift(pts, bandwidth=bandwidth)
-            extra = {"bandwidth": bandwidth if bandwidth is not None else "p30 pairwise"}
-        mask, threshold = flags_from_clusters(labels, fm.paths, min_fraction)
-        parameters = {
-            "space": "pca2 of standardized counts",
-            "explained_variance": [float(v) for v in pca.explained_variance],
-            "small_cluster_max": threshold,
-            "clusters": int(labels.max()) + 1 if len(labels) else 0,
-            "score": "1/cluster size (noise: 1)",
-            **extra,
-        }
-        return _flagset(name, parameters, fm, mask, _cluster_scores(labels))
-    if name == "dbscan":
-        min_samples = params.pop("min_samples", 5)
-        labels, eps = cluster_dbscan(z, eps=params.pop("eps", None), min_samples=min_samples)
-        mask, threshold = flags_from_clusters(labels, fm.paths, min_fraction)
-        parameters = {
-            "space": "standardized counts",
-            "eps": eps,
-            "min_samples": min_samples,
-            "small_cluster_max": threshold,
-            "clusters": int(labels.max()) + 1 if len(labels) else 0,
-            "score": "1/cluster size (noise: 1)",
-        }
-        return _flagset(name, parameters, fm, mask, _cluster_scores(labels))
-    raise ValueError(f"unknown detector: {name!r}")
+            ward = labels
+        flag_sets.append(fs)
+    return flag_sets, space.pts, ward

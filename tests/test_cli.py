@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from gcodeguard import cli
+from gcodeguard import cli, detectors
 from gcodeguard.cli import (
     PRESETS,
     ExperimentConfig,
@@ -18,7 +18,8 @@ from gcodeguard.cli import (
     main,
     stage_seed,
 )
-from gcodeguard.features import build_matrix, extract, write_features_csv
+from gcodeguard.detectors import DETECTOR_NAMES, cluster_agglomerative, fit_pca
+from gcodeguard.features import build_matrix, extract, standardize, write_features_csv
 from gcodeguard.gcode import GcodeDocument, parse_document
 from gcodeguard.mutate import STRATEGY_IDS, RangeMode
 from gcodeguard.synthgen import SpecimenSpec, generate_dataset
@@ -218,14 +219,18 @@ class _WeakDocument(GcodeDocument):
     __slots__ = ("__weakref__",)
 
 
+def per_file_matrix(src, manifest):
+    return build_matrix([
+        extract(parse_document((src / en.path).read_bytes()), path=en.path)
+        for en in manifest.entries
+    ])
+
+
 class TestDetectCorpusSinglePass:
     def test_features_csv_matches_per_file_extraction(self, tiny_corpus, tmp_path):
         src, manifest = tiny_corpus
         detect_corpus(src, tmp_path / "flags", ("single_stat",), {})
-        fm = build_matrix([
-            extract(parse_document((src / en.path).read_bytes()), path=en.path)
-            for en in manifest.entries
-        ])
+        fm = per_file_matrix(src, manifest)
         write_features_csv(fm, tmp_path / "expected.csv")
         assert (tmp_path / "flags" / "features.csv").read_bytes() == (
             tmp_path / "expected.csv"
@@ -247,6 +252,32 @@ class TestDetectCorpusSinglePass:
         monkeypatch.setattr(cli, "parse_document", tracked_parse)
         detect_corpus(src, tmp_path / "flags", ("single_stat",), {})
         assert alive_before_parse == [0] * len(manifest.entries)
+
+
+class TestDetectCorpusComputesOnce:
+    def test_one_standardize_one_pca_one_ward(self, tiny_corpus, tmp_path, monkeypatch):
+        src, _ = tiny_corpus
+        calls = dict.fromkeys(("standardize", "fit_pca", "cluster_agglomerative"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(detectors, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(detectors, name, counted)
+        detect_corpus(src, tmp_path / "flags", DETECTOR_NAMES, {})
+        assert calls == {"standardize": 1, "fit_pca": 1, "cluster_agglomerative": 1}
+
+    def test_scatter_is_ward_on_the_pca_projection(self, tiny_corpus, tmp_path):
+        src, manifest = tiny_corpus
+        detect_corpus(src, tmp_path / "flags", DETECTOR_NAMES, {})
+        fm = per_file_matrix(src, manifest)
+        z = standardize(fm.matrix)
+        pts = fit_pca(z, 2).transform(z)
+        labels = cluster_agglomerative(pts)
+        expected = ["path,pc1,pc2,cluster_label"] + [
+            f"{p},{pc1!r},{pc2!r},{int(lab)}" for p, (pc1, pc2), lab in zip(fm.paths, pts, labels)
+        ]
+        assert (tmp_path / "flags" / "pca_scatter.csv").read_text().splitlines() == expected
 
 
 class TestRunAll:
@@ -287,6 +318,17 @@ class TestErrorPaths:
         assert main([
             "detect", "--src", str(tmp_path), "--out", str(tmp_path / "f"),
         ]) == 1
+
+    def test_failing_detector_writes_nothing(self, tiny_corpus, tmp_path, capsys):
+        src, manifest = tiny_corpus
+        few = tmp_path / "few"
+        few.mkdir()
+        for entry in manifest.entries[:3]:
+            (few / entry.path).write_bytes((src / entry.path).read_bytes())
+        out = tmp_path / "flags"
+        assert main(["detect", "--src", str(few), "--out", str(out)]) == 1
+        assert "need more than 4 points" in capsys.readouterr().err
+        assert list(out.glob("*")) == []
 
     def test_bad_config_value(self, tmp_path):
         cfg_path = tmp_path / "bad.json"

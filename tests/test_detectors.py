@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gcodeguard import detectors
 from gcodeguard.detectors import (
     DETECTOR_NAMES,
     FlagSet,
@@ -70,6 +73,58 @@ def partition_errors(labels, truth):
         return len(truth)
     m0 = labels == labels[0]
     return min(int((m0 != (truth == 0)).sum()), int((m0 != (truth == 1)).sum()))
+
+
+def broadcast_sq_dists(a, b):
+    """The one-block formula the chunked kernel must reproduce bit for bit."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+class TestSqDists:
+    @pytest.mark.parametrize("n", [1, 511, 512, 513])
+    def test_square_matches_one_block(self, n):
+        # at d = 4 a block holds 512 rows of a 512-row input: 511 and 512 fit
+        # in one block, 513 needs two
+        x = np.random.default_rng(n).normal(size=(n, 4)) * [1.0, 10.0, 1e3, 1e-3]
+        x[n // 2] = x[0]
+        assert np.array_equal(detectors._sq_dists(x, x), broadcast_sq_dists(x, x))
+
+    @pytest.mark.parametrize("n", [1, 435, 436, 437, 873])
+    def test_rectangular_matches_one_block(self, n):
+        # a 300x8 right side gives blocks of 436 rows
+        rng = np.random.default_rng(n)
+        b = rng.normal(size=(300, 8))
+        a = rng.normal(size=(n, 8))
+        a[-1] = b[3]
+        a[: n // 3] = a[0]
+        got = detectors._sq_dists(a, b)
+        assert got.shape == (n, 300)
+        assert np.array_equal(got, broadcast_sq_dists(a, b))
+
+    @pytest.mark.parametrize("budget", [1, 3, 7, 64, 1000])
+    def test_any_block_size_gives_the_same_bits(self, budget, monkeypatch):
+        rng = np.random.default_rng(budget)
+        a = np.round(rng.normal(size=(40, 3)), 1)
+        b = np.vstack([a[:10], rng.normal(size=(15, 3))])
+        monkeypatch.setattr(detectors, "_CHUNK_ELEMENTS", budget)
+        assert np.array_equal(detectors._sq_dists(a, b), broadcast_sq_dists(a, b))
+        assert np.array_equal(detectors._sq_dists(a, a), broadcast_sq_dists(a, a))
+
+    @pytest.mark.parametrize(
+        "run", [knee_epsilon, cluster_dbscan], ids=["knee_epsilon", "cluster_dbscan"]
+    )
+    def test_peak_memory_does_not_grow_with_dimension(self, run):
+        peaks = []
+        for d in (2, 32):
+            x = np.random.default_rng(d).normal(size=(800, d))
+            tracemalloc.start()
+            try:
+                run(x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] / peaks[0] < 2
 
 
 class TestModifiedZscores:
@@ -399,7 +454,7 @@ class TestKneeEpsilon:
 class TestFlagsFromClusters:
     def test_small_cluster_threshold_is_inclusive(self):
         labels = np.array([0] * 290 + [1] * 3 + [-1] * 7)
-        mask, threshold = flags_from_clusters(labels, ("p",) * 300)
+        mask, threshold = flags_from_clusters(labels)
         assert threshold == 3.0
         assert mask.sum() == 10
         assert mask[290:].all()
@@ -407,18 +462,18 @@ class TestFlagsFromClusters:
 
     def test_cluster_above_threshold_not_flagged(self):
         labels = np.array([0] * 296 + [1] * 4)
-        mask, _ = flags_from_clusters(labels, ("p",) * 300)
+        mask, _ = flags_from_clusters(labels)
         assert not mask.any()
 
     def test_minimum_threshold_is_two(self):
         labels = np.array([0] * 8 + [1] * 2)
-        mask, threshold = flags_from_clusters(labels, ("p",) * 10)
+        mask, threshold = flags_from_clusters(labels)
         assert threshold == 2.0
         assert mask.tolist() == [False] * 8 + [True] * 2
 
     def test_min_fraction_override(self):
         labels = np.array([0] * 90 + [1] * 10)
-        mask, _ = flags_from_clusters(labels, ("p",) * 100, min_fraction=0.15)
+        mask, _ = flags_from_clusters(labels, min_fraction=0.15)
         assert mask.sum() == 10
 
 
