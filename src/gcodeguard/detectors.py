@@ -16,6 +16,10 @@ None of them uses ground truth, a reference model, or fitted state from
 other corpora; everything is relative to the corpus at hand. Clustering is
 implemented here directly so the only numerical dependency is numpy; one
 chunked kernel, ``_sq_dists``, gives every clustering step its distances.
+Each clustering step works on the distinct rows of its input, weighted by
+how often they repeat (``_distinct``), and maps its labels back to every
+row, so its cost grows with the number of distinct count vectors, not with
+the number of files.
 ``run_detectors`` standardizes and projects a corpus once for all detectors
 and returns that projection and the Ward labels for ``pca_scatter.csv``.
 
@@ -255,6 +259,26 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, weight, inverse): the distinct rows of ``x`` in order of first
+    occurrence, how often each occurs (as floats), and the index into ``rows``
+    of every row of ``x``, so ``rows[inverse]`` equals ``x``.
+
+    Copies of a row are at distance zero from each other and at the same
+    distance from everything else, so the clustering steps work on the
+    distinct rows and their multiplicities and map labels back through
+    ``inverse``. Keeping first-occurrence order keeps labels that are
+    numbered in order of first member unchanged.
+    """
+    uniq, first, inverse, counts = np.unique(
+        x, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return uniq[order], counts[order].astype(np.float64), rank[inverse]
+
+
 def cluster_agglomerative(points: np.ndarray) -> np.ndarray:
     """Ward-linkage agglomeration, cut before the most separated merge.
 
@@ -269,16 +293,22 @@ def cluster_agglomerative(points: np.ndarray) -> np.ndarray:
     everything at least half as forced as the most forced merge stays
     unmerged. For well separated groups the group junction dominates and
     the cut recovers them exactly; isolated points keep their own clusters.
+    Copies of one point merge first at zero cost and never reach the cut,
+    so the agglomeration starts from one cluster per distinct point.
     Returns one label per point.
     """
     pts = np.asarray(points, dtype=np.float64)
-    n = len(pts)
+    rows, sizes, inverse = _distinct(pts)
+    n = len(rows)
     if n <= 1:
-        return np.zeros(n, dtype=np.int64)
+        return np.zeros(len(pts), dtype=np.int64)
 
-    work = _sq_dists(pts, pts)
+    # The cost Lance-Williams reaches between clusters of copies of a and b,
+    # 2*ma*mb/(ma+mb) * |a - b|^2; exactly |a - b|^2 between single points.
+    work = _sq_dists(rows, rows) * (
+        2.0 * np.outer(sizes, sizes) / np.add.outer(sizes, sizes)
+    )
     np.fill_diagonal(work, np.inf)
-    sizes = np.ones(n)
     active = np.ones(n, dtype=bool)
     merges: list[tuple[int, int]] = []
     prominence: list[float] = []
@@ -306,11 +336,9 @@ def cluster_agglomerative(points: np.ndarray) -> np.ndarray:
         work[j, :] = np.inf
         work[:, j] = np.inf
 
-    if n == 2:
-        return np.array([0, 1], dtype=np.int64)
     pmax = max(prominence)
     if pmax <= 0.0:
-        return np.zeros(n, dtype=np.int64)
+        return np.zeros(len(pts), dtype=np.int64)
     # Stop before the earliest merge at least half as separated as the most
     # separated one; performing merges[:first] leaves n - first clusters.
     first = next(k for k, p in enumerate(prominence) if p >= pmax / 2.0)
@@ -319,8 +347,36 @@ def cluster_agglomerative(points: np.ndarray) -> np.ndarray:
     for i, j in merges[:first]:
         roots[roots == j] = i
     # Number the clusters in order of their first member.
-    _, first_member, inverse = np.unique(roots, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first_member))[inverse]
+    _, first_member, labels = np.unique(roots, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first_member))[labels][inverse]
+
+
+def _pair_percentile(sq: np.ndarray, weight: np.ndarray, q: float) -> float:
+    """``np.percentile(pairs, q)`` over the distances of all n*(n-1)/2 point
+    pairs, from the squared distances ``sq`` between distinct rows and their
+    multiplicities ``weight``; coincident pairs count as zeros.
+
+    Takes the two order statistics by weighted rank and interpolates between
+    them with numpy's "linear" rule, so the result has the same bits without
+    the n*(n-1)/2 list being built.
+    """
+    upper = np.triu_indices(len(weight), k=1)
+    values = np.concatenate(([0.0], sq[upper]))
+    counts = np.concatenate(
+        ([np.sum(weight * (weight - 1.0)) / 2.0], np.outer(weight, weight)[upper])
+    )
+    order = np.argsort(values)
+    values, ends = values[order], np.cumsum(counts[order])
+    pairs = ends[-1]
+    at = (pairs - 1.0) * (q / 100)
+    lo = np.floor(at)
+    # ends[j] is one past the last rank that holds values[j]
+    ranks = [lo, min(lo + 1.0, pairs - 1.0)]
+    a, b = np.sqrt(values[np.searchsorted(ends, ranks, side="right")])
+    t = float(at - lo)
+    if t >= 0.5:
+        return float(b - (b - a) * (1.0 - t))
+    return float(a + (b - a) * t)
 
 
 def cluster_meanshift(points: np.ndarray, bandwidth: float | None = None) -> np.ndarray:
@@ -330,33 +386,41 @@ def cluster_meanshift(points: np.ndarray, bandwidth: float | None = None) -> np.
     point ascends to the mean of its bandwidth-neighbours until it moves
     less than ``MEANSHIFT_TOL`` (or for ``MEANSHIFT_MAX_ITER`` steps);
     converged positions within ``bandwidth / 2`` of each other collapse to
-    one mode, scanned in point order. A bandwidth of zero (all points
-    identical) is an error.
+    one mode, scanned in point order. Copies of one point ascend together,
+    so each distinct point ascends once and weighs in its neighbours' means
+    by its multiplicity. A bandwidth of zero, which the default gives when
+    at least about 30% of the point pairs coincide, is an error.
     """
     pts = np.asarray(points, dtype=np.float64)
-    n = len(pts)
-    if n <= 1:
-        return np.zeros(n, dtype=np.int64)
+    if len(pts) <= 1:
+        return np.zeros(len(pts), dtype=np.int64)
+    rows, weight, inverse = _distinct(pts)
     if bandwidth is None:
-        pair = np.sqrt(_sq_dists(pts, pts)[np.triu_indices(n, k=1)])
-        bandwidth = float(np.percentile(pair, 30))
+        sq = _sq_dists(rows, rows)
+        bandwidth = _pair_percentile(sq, weight, 30)
+        if bandwidth <= 0.0:
+            n = len(pts)
+            coincident = int(weight @ (sq == 0.0) @ weight - n) // 2
+            raise ValueError(
+                f"bandwidth is zero: {coincident} of {n * (n - 1) // 2} point pairs"
+                " coincide, so the 30th percentile of pairwise distances is 0"
+            )
     if bandwidth <= 0.0:
-        raise ValueError("bandwidth is zero: all points identical")
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
 
-    modes = pts.copy()
+    modes = rows.copy()
     for _ in range(MEANSHIFT_MAX_ITER):
-        within = _sq_dists(modes, pts) <= bandwidth * bandwidth
-        counts = within.sum(axis=1)
-        new_modes = (within.astype(np.float64) @ pts) / counts[:, None]
+        within = _sq_dists(modes, rows) <= bandwidth * bandwidth
+        new_modes = ((within * weight) @ rows) / (within @ weight)[:, None]
         shift = np.linalg.norm(new_modes - modes, axis=1)
         modes = new_modes
         if shift.max() < MEANSHIFT_TOL:
             break
 
     centers: list[np.ndarray] = []
-    assignment = np.empty(n, dtype=np.int64)
+    assignment = np.empty(len(rows), dtype=np.int64)
     half = bandwidth / 2.0
-    for i in range(n):
+    for i in range(len(rows)):
         for c, center in enumerate(centers):
             if np.linalg.norm(modes[i] - center) <= half:
                 assignment[i] = c
@@ -364,7 +428,7 @@ def cluster_meanshift(points: np.ndarray, bandwidth: float | None = None) -> np.
         else:
             centers.append(modes[i])
             assignment[i] = len(centers) - 1
-    return assignment
+    return assignment[inverse]
 
 
 def knee_epsilon(matrix: np.ndarray, k: int = 4) -> float:
@@ -382,14 +446,24 @@ def knee_epsilon(matrix: np.ndarray, k: int = 4) -> float:
     tightly that the MAD collapses to zero; it keeps the floor at the scale
     of the dense field. Genuine outlier distances run one to two orders of
     magnitude past the field median, so neither floor can hide a real tail.
+    A point's other copies are neighbours at distance zero.
     """
     x = np.asarray(matrix, dtype=np.float64)
     n = len(x)
     if n <= k:
         raise ValueError(f"need more than {k} points, got {n}")
-    dist = np.sqrt(_sq_dists(x, x))
-    np.fill_diagonal(dist, np.inf)
-    kth = np.sort(dist, axis=1)[:, k - 1]
+    rows, weight, inverse = _distinct(x)
+    dist = np.sqrt(_sq_dists(rows, rows))
+    # A point's own row stands for its m - 1 other copies at distance 0 and
+    # every other row for at least one neighbour, so the k nearest
+    # neighbours lie among the k + 1 nearest distinct rows.
+    near = np.argpartition(dist, min(k, len(rows) - 1), axis=1)[:, : k + 1]
+    near = np.take_along_axis(
+        near, np.argsort(np.take_along_axis(dist, near, axis=1), axis=1), axis=1
+    )
+    copies = weight[near] - (near == np.arange(len(rows))[:, None])
+    hit = np.argmax(np.cumsum(copies, axis=1) >= k, axis=1)
+    kth = dist[np.arange(len(rows)), near[np.arange(len(rows)), hit]][inverse]
     curve = np.sort(kth)
     m = len(curve)
     x0, y0 = 0.0, curve[0]
@@ -419,23 +493,27 @@ def cluster_dbscan(
 
     Neighbourhoods use closed balls of radius ``eps`` (self included in the
     core-point count). Expansion is breadth-first in point order, so labels
-    are deterministic.
+    are deterministic. Copies of one point share a neighbourhood and a
+    label, so the scan runs over distinct points and a point's neighbours
+    count with their multiplicities.
     """
     x = np.asarray(matrix, dtype=np.float64)
-    n = len(x)
     if eps is None:
         eps = knee_epsilon(x, k=min_samples - 1)
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
 
-    neighbors = [np.flatnonzero(row) for row in _sq_dists(x, x) <= eps * eps]
+    rows, weight, inverse = _distinct(x)
+    within = _sq_dists(rows, rows) <= eps * eps
+    neighbors = [np.flatnonzero(row) for row in within]
+    core = within @ weight >= min_samples
 
-    labels = np.full(n, -2, dtype=np.int64)  # -2: unvisited
+    labels = np.full(len(rows), -2, dtype=np.int64)  # -2: unvisited
     cluster = 0
-    for i in range(n):
+    for i in range(len(rows)):
         if labels[i] != -2:
             continue
-        if len(neighbors[i]) < min_samples:
+        if not core[i]:
             labels[i] = -1
             continue
         labels[i] = cluster
@@ -449,10 +527,10 @@ def cluster_dbscan(
             if labels[j] != -2:
                 continue
             labels[j] = cluster
-            if len(neighbors[j]) >= min_samples:
+            if core[j]:
                 queue.extend(neighbors[j])
         cluster += 1
-    return labels, float(eps)
+    return labels[inverse], float(eps)
 
 
 def flags_from_clusters(

@@ -26,7 +26,7 @@ from gcodeguard.detectors import (
     outlier_mask,
     run_detector,
 )
-from gcodeguard.features import FeatureVector, build_matrix
+from gcodeguard.features import FeatureVector, build_matrix, standardize
 
 
 def make_fm(g1_counts, g0_counts=None, histograms=None):
@@ -291,6 +291,7 @@ class TestAgglomerative:
         assert cluster_agglomerative(np.zeros((0, 2))).tolist() == []
         assert cluster_agglomerative(np.array([[1.0, 2.0]])).tolist() == [0]
         assert cluster_agglomerative(np.array([[0.0, 0.0], [5.0, 0.0]])).tolist() == [0, 1]
+        assert cluster_agglomerative(np.ones((2, 2))).tolist() == [0, 0]
 
     def test_identical_points_form_one_cluster(self):
         labels = cluster_agglomerative(np.ones((6, 2)))
@@ -324,6 +325,13 @@ class TestMeanshift:
     def test_identical_points_rejected(self):
         with pytest.raises(ValueError):
             cluster_meanshift(np.ones((5, 2)))
+
+    def test_zero_bandwidth_message_counts_coincident_pairs(self):
+        # 9 copies of one point and 1 other: 36 of the 45 pairs coincide, so
+        # the 30th-percentile distance is 0 although the points differ
+        pts = np.vstack([np.zeros((9, 2)), [[1.0, 1.0]]])
+        with pytest.raises(ValueError, match=r"^bandwidth is zero: 36 of 45 point pairs coincide"):
+            cluster_meanshift(pts)
 
     def test_tiny_inputs(self):
         assert cluster_meanshift(np.zeros((0, 2))).tolist() == []
@@ -516,3 +524,203 @@ class TestRunDetector:
         assert loaded.detector == flags.detector
         assert loaded.flagged == flags.flagged
         assert loaded.scores == pytest.approx(flags.scores)
+
+
+def plain_ward(pts):
+    """Ward agglomeration over every point, one cluster per point at the start."""
+    n = len(pts)
+    work = broadcast_sq_dists(pts, pts)
+    np.fill_diagonal(work, np.inf)
+    sizes = np.ones(n)
+    active = np.ones(n, dtype=bool)
+    merges, prominence = [], []
+    for _ in range(n - 1):
+        i, j = sorted(divmod(int(np.argmin(work)), n))
+        cost = work[i, j]
+        ni, nj = sizes[i], sizes[j]
+        prominence.append(float(np.sqrt(cost) / np.sqrt(ni * nj / (ni + nj))))
+        merges.append((i, j))
+        others = active.copy()
+        others[i] = others[j] = False
+        nk = sizes[others]
+        work[i, others] = (
+            (ni + nk) * work[i, others] + (nj + nk) * work[j, others] - nk * cost
+        ) / (ni + nj + nk)
+        work[others, i] = work[i, others]
+        sizes[i] = ni + nj
+        active[j] = False
+        work[j, :] = np.inf
+        work[:, j] = np.inf
+    pmax = max(prominence)
+    if pmax <= 0.0:
+        return np.zeros(n, dtype=np.int64)
+    first = next(k for k, p in enumerate(prominence) if p >= pmax / 2.0)
+    roots = np.arange(n)
+    for i, j in merges[:first]:
+        roots[roots == j] = i
+    _, first_member, inverse = np.unique(roots, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first_member))[inverse]
+
+
+def plain_meanshift(pts):
+    """Flat-kernel mean shift moving every point, bandwidth from the full pair list."""
+    n = len(pts)
+    pairs = np.sqrt(broadcast_sq_dists(pts, pts)[np.triu_indices(n, k=1)])
+    bandwidth = float(np.percentile(pairs, 30))
+    if bandwidth <= 0.0:
+        raise ValueError("bandwidth is zero")
+    modes = pts.copy()
+    for _ in range(detectors.MEANSHIFT_MAX_ITER):
+        within = broadcast_sq_dists(modes, pts) <= bandwidth * bandwidth
+        new_modes = (within.astype(np.float64) @ pts) / within.sum(axis=1)[:, None]
+        shift = np.linalg.norm(new_modes - modes, axis=1)
+        modes = new_modes
+        if shift.max() < detectors.MEANSHIFT_TOL:
+            break
+    centers, labels = [], []
+    for mode in modes:
+        near = [
+            c for c, center in enumerate(centers)
+            if np.linalg.norm(mode - center) <= bandwidth / 2.0
+        ]
+        if not near:
+            centers.append(mode)
+        labels.append(near[0] if near else len(centers) - 1)
+    return np.array(labels)
+
+
+def plain_knee_epsilon(x, k):
+    """knee_epsilon from every point's k-th nearest other point."""
+    dist = np.sqrt(broadcast_sq_dists(x, x))
+    np.fill_diagonal(dist, np.inf)
+    kth = np.sort(dist, axis=1)[:, k - 1]
+    curve = np.sort(kth)
+    m = len(curve)
+    x0, y0 = 0.0, curve[0]
+    x1, y1 = float(m - 1), curve[-1]
+    span = np.hypot(x1 - x0, y1 - y0)
+    if span == 0.0:
+        return float(curve[0])
+    idx = np.arange(m, dtype=np.float64)
+    offset = np.abs((y1 - y0) * idx - (x1 - x0) * curve + x1 * y0 - y1 * x0) / span
+    knee = float(curve[int(np.argmax(offset))])
+    med = float(np.median(kth))
+    mad = float(np.median(np.abs(kth - med)))
+    if mad > 0.0:
+        fence = med + (Z_THRESHOLD / 0.6745) * mad
+    else:
+        q1, q3 = np.percentile(kth, [25, 75])
+        fence = float(q3 + 1.5 * (q3 - q1)) or med
+    return max(knee, fence, 3.0 * med)
+
+
+@st.composite
+def repeated_rows(draw):
+    """(x, owner): random rows, each repeated 1 to 4 times and shuffled into
+    ``x``; ``x[i]`` is a copy of row ``owner[i]``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 20))
+    rows = rng.normal(size=(n, draw(st.sampled_from([2, 11]))))
+    reps = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    owner = rng.permutation(np.repeat(np.arange(n), reps))
+    return rows[owner], owner
+
+
+def copies_share_labels(labels, owner):
+    """True when every copy of a row has the label of that row's first copy."""
+    first = np.unique(owner, return_index=True)[1]
+    return np.array_equal(labels, labels[first][owner])
+
+
+class TestRepeatedRows:
+    """Copies of a row are clustered once, weighted by their number, with the
+    labels and eps of the computation over every point."""
+
+    @given(repeated_rows())
+    def test_agglomerative(self, case):
+        x, owner = case
+        labels = cluster_agglomerative(x)
+        assert np.array_equal(labels, plain_ward(x))
+        assert copies_share_labels(labels, owner)
+
+    @given(repeated_rows())
+    def test_meanshift(self, case):
+        x, owner = case
+        labels = cluster_meanshift(x)
+        assert np.array_equal(labels, plain_meanshift(x))
+        assert copies_share_labels(labels, owner)
+
+    @given(repeated_rows(), st.integers(1, 5))
+    def test_knee_epsilon(self, case, k):
+        x, _ = case
+        assert knee_epsilon(x, k=k) == plain_knee_epsilon(x, k)
+
+    @given(repeated_rows(), st.floats(0.2, 3.0), st.integers(1, 8))
+    def test_dbscan(self, case, eps, min_samples):
+        x, owner = case
+        labels, _ = cluster_dbscan(x, eps=eps, min_samples=min_samples)
+        assert np.array_equal(labels, naive_dbscan(x, eps, min_samples))
+        assert copies_share_labels(labels, owner)
+        if min_samples == 1:
+            return
+        expected = plain_knee_epsilon(x, min_samples - 1)
+        if expected > 0.0:
+            assert cluster_dbscan(x, min_samples=min_samples)[1] == expected
+        else:
+            with pytest.raises(ValueError, match="eps must be positive"):
+                cluster_dbscan(x, min_samples=min_samples)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=40),
+        st.sampled_from([0, 30, 50, 97, 100]),
+    )
+    def test_pair_percentile_has_the_bits_of_numpy(self, grid, q):
+        x = np.array(grid, dtype=np.float64)
+        rows, weight, inverse = detectors._distinct(x)
+        assert np.array_equal(rows[inverse], x)
+        pairs = np.sqrt(broadcast_sq_dists(x, x)[np.triu_indices(len(x), k=1)])
+        got = detectors._pair_percentile(detectors._sq_dists(rows, rows), weight, q)
+        assert got == np.percentile(pairs, q)
+
+
+def sweep_matrix(count=1440, step=0.25, seed=3):
+    """Count vectors of a rotation sweep, as in the benchmark's cluster-1440.
+
+    Each of 30 layers adds floor(30 * (|cos a| + |sin a|) + u) infill
+    segments, a being the part angle minus the layer's infill direction and
+    u a per-layer jitter; every segment is one G0 and one G1, the other
+    codes are constant. Neighbouring angles share most count vectors.
+    """
+    rng = np.random.default_rng(seed)
+    angles = np.radians(np.arange(count) * step)[:, None]
+    directions = np.radians(np.resize([45.0, -45.0, 30.0], 30))[None, :]
+    a = angles - directions
+    s = np.floor(30.0 * (np.abs(np.cos(a)) + np.abs(np.sin(a))) + rng.random((count, 30)))
+    s = s.sum(axis=1)
+    g0, g1 = 31 + s, 3904 + s
+    const = np.array([1, 1, 1, 2, 1, 1, 1, 2], dtype=np.float64)
+    return np.column_stack([g0, g1, np.tile(const, (count, 1)), g0 + g1 + 43])
+
+
+def test_distances_are_taken_between_distinct_rows_only(monkeypatch):
+    z = standardize(sweep_matrix())
+    pts = fit_pca(z).transform(z)
+    shapes = []
+    real = detectors._sq_dists
+
+    def recording(a, b):
+        shapes.append((len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(detectors, "_sq_dists", recording)
+    for run, arg in [
+        (cluster_agglomerative, pts),
+        (cluster_meanshift, pts),
+        (knee_epsilon, z),
+        (cluster_dbscan, z),
+    ]:
+        shapes.clear()
+        run(arg)
+        distinct = len(np.unique(arg, axis=0))
+        assert distinct < len(arg) / 2
+        assert shapes and max(max(s) for s in shapes) <= distinct
