@@ -23,6 +23,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .detectors import DETECTOR_NAMES, FlagSet, run_detectors
@@ -68,6 +69,7 @@ class ExperimentConfig:
         if sum(self.victims.values()) > self.count:
             raise ValueError("more victims than files")
         _check_detector_names(self.detectors)
+        _check_detector_names(self.detector_params)
         for sid, mode in self.range_overrides.items():
             if sid not in STRATEGY_IDS:
                 raise ValueError(f"unknown strategy in range_overrides: {sid!r}")
@@ -116,7 +118,7 @@ PRESETS: dict[str, ExperimentConfig] = {
 }
 
 
-def _check_detector_names(names: tuple[str, ...]) -> None:
+def _check_detector_names(names: Iterable[str]) -> None:
     for name in names:
         if name not in DETECTOR_NAMES:
             raise ValueError(f"unknown detector: {name!r}")
@@ -259,7 +261,7 @@ def detect_corpus(
     with open(out / "pca_scatter.csv", "w", newline="") as fh:
         fh.write("path,pc1,pc2,cluster_label\n")
         for p, (pc1, pc2), lab in zip(paths, pts, labels):
-            fh.write(f"{p},{pc1!r},{pc2!r},{int(lab)}\n")
+            fh.write(f"{p},{float(pc1)!r},{float(pc2)!r},{int(lab)}\n")
     return flag_sets
 
 
@@ -269,6 +271,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     params = {}
     if args.params:
         params = json.loads(Path(args.params).read_text())
+        _check_detector_names(params)
     flag_sets = detect_corpus(Path(args.src), Path(args.out), detectors, params)
     for fs in flag_sets:
         print(f"{fs.detector}: flagged {len(fs.flagged)}")

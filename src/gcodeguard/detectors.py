@@ -587,6 +587,13 @@ class _Projection:
         return self.pca.transform(self.z)
 
 
+def _reject_leftovers(name: str, params: dict) -> None:
+    """Raise on overrides the detector did not consume."""
+    if params:
+        keys = ", ".join(repr(k) for k in params)
+        raise ValueError(f"{name}: unknown parameter override(s): {keys}")
+
+
 def _detect(
     name: str, space: _Projection, params: dict | None
 ) -> tuple[FlagSet, np.ndarray | None]:
@@ -595,7 +602,9 @@ def _detect(
     fm = space.fm
     if name in ("single_stat", "combined_stat"):
         stat = detect_single_stat if name == "single_stat" else detect_combined_stat
-        return stat(fm, params.pop("threshold", Z_THRESHOLD)), None
+        threshold = params.pop("threshold", Z_THRESHOLD)
+        _reject_leftovers(name, params)
+        return stat(fm, threshold), None
 
     min_fraction = params.pop("min_fraction", SMALL_CLUSTER_FRACTION)
     if name in ("pca_agglomerative", "pca_meanshift"):
@@ -615,6 +624,7 @@ def _detect(
         parameters = {"space": "standardized counts", "eps": eps, "min_samples": min_samples}
     else:
         raise ValueError(f"unknown detector: {name!r}")
+    _reject_leftovers(name, params)
     mask, threshold = flags_from_clusters(labels, min_fraction)
     parameters.update(
         small_cluster_max=threshold,
@@ -629,7 +639,7 @@ def run_detector(name: str, fm: FeatureMatrix, params: dict | None = None) -> Fl
 
     Recognized overrides: ``threshold`` (stat detectors), ``bandwidth``
     (mean shift), ``eps`` and ``min_samples`` (dbscan), ``min_fraction``
-    (all clustering detectors).
+    (all clustering detectors). Any other key raises ``ValueError``.
     """
     return _detect(name, _Projection(fm), params)[0]
 

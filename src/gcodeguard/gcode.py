@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -114,7 +114,6 @@ class GcodeLine:
 
     raw_text: str
     kind: LineKind
-    line_index: int = 0
     code: str | None = None
     params: tuple[Param, ...] = ()
     comment: str | None = None
@@ -124,12 +123,6 @@ class GcodeLine:
             if p.letter == letter:
                 return p
         return None
-
-    def has_param(self, letter: str) -> bool:
-        return self.param(letter) is not None
-
-    def is_command(self, code: str) -> bool:
-        return self.kind is LineKind.COMMAND and self.code == code
 
     @property
     def layer_number(self) -> int | None:
@@ -153,14 +146,15 @@ def make_command(
     code: str,
     params: Iterable[Param] = (),
     comment: str | None = None,
-    line_index: int = 0,
 ) -> GcodeLine:
-    """Build a command line from parts; raw text is the canonical rendering."""
+    """Build a command line from parts; raw text is the canonical rendering.
+
+    Lines carry no index: a line's index is its position in a document.
+    """
     params = tuple(params)
     return GcodeLine(
         raw_text=render_command(code, params, comment),
         kind=LineKind.COMMAND,
-        line_index=line_index,
         code=code,
         params=params,
         comment=comment,
@@ -169,6 +163,8 @@ def make_command(
 
 def parse_line(text: str, line_index: int = 0) -> GcodeLine:
     """Parse one line (no newline characters allowed) into a ``GcodeLine``.
+
+    ``line_index`` (0-based) only locates the line in error messages.
 
     Raises
     ------
@@ -179,12 +175,11 @@ def parse_line(text: str, line_index: int = 0) -> GcodeLine:
         raise MalformedLineError("line contains a newline", text, line_index)
     stripped = text.strip()
     if not stripped:
-        return GcodeLine(raw_text=text, kind=LineKind.BLANK, line_index=line_index)
+        return GcodeLine(raw_text=text, kind=LineKind.BLANK)
     if stripped.startswith(";"):
         return GcodeLine(
             raw_text=text,
             kind=LineKind.COMMENT,
-            line_index=line_index,
             comment=stripped[1:],
         )
 
@@ -205,7 +200,6 @@ def parse_line(text: str, line_index: int = 0) -> GcodeLine:
     return GcodeLine(
         raw_text=text,
         kind=LineKind.COMMAND,
-        line_index=line_index,
         code=code,
         params=params,
         comment=m.group("comment"),
@@ -249,18 +243,15 @@ class GcodeDocument:
         source_path: str | None = None,
         final_newline: bool = True,
     ) -> "GcodeDocument":
-        """Assemble a document, reassigning line indices and layer marks."""
-        indexed = []
+        """Assemble a document from lines in order, recomputing its layer marks."""
+        lines = tuple(lines)
         marks = []
         for i, line in enumerate(lines):
-            if line.line_index != i:
-                line = replace(line, line_index=i)
-            indexed.append(line)
             layer = line.layer_number
             if layer is not None:
                 marks.append((i, layer))
         return GcodeDocument(
-            lines=tuple(indexed),
+            lines=lines,
             layer_marks=tuple(marks),
             source_path=source_path,
             final_newline=final_newline,
@@ -270,7 +261,7 @@ class GcodeDocument:
 def parse_document(data: bytes | str, source_path: str | None = None) -> GcodeDocument:
     """Parse a whole file.
 
-    Accepts bytes (must decode as ASCII) or str. Raises
+    Accepts bytes or str; either must be ASCII. Raises
     ``MalformedFileError`` carrying the first offending line, if any.
     """
     if isinstance(data, bytes):
@@ -278,8 +269,10 @@ def parse_document(data: bytes | str, source_path: str | None = None) -> GcodeDo
             text = data.decode("ascii")
         except UnicodeDecodeError as exc:
             raise MalformedFileError(f"{source_path or '<data>'}: not ASCII: {exc}") from exc
-    else:
+    elif data.isascii():
         text = data
+    else:
+        raise MalformedFileError(f"{source_path or '<data>'}: not ASCII")
     text = text.replace("\r\n", "\n")
     if "\r" in text:
         raise MalformedFileError(f"{source_path or '<data>'}: bare carriage return")
@@ -331,11 +324,12 @@ def serialize(doc: GcodeDocument) -> bytes:
 
 @dataclass(slots=True)
 class PrinterState:
-    """Mutable machine registers tracked during simulation.
+    """Mutable machine registers, advanced one line at a time by ``apply``.
 
-    Extrusion is absolute (M82): each extruding move contributes
-    ``max(0, E_target - E_register)`` of filament, then the register jumps to
-    the target. G92 rebases a register without extruding.
+    ``apply`` is the one definition of how lines move the registers. Extrusion
+    is absolute (M82): a G1 with E contributes ``max(0, E_target - E_register)``
+    of filament, then the register jumps to the target. G0 and G92 set the
+    named registers without extruding; every other line leaves them alone.
     """
 
     x: float = 0.0
@@ -344,7 +338,9 @@ class PrinterState:
     e: float = 0.0
     extruded: float = 0.0
 
-    def apply_move(self, line: GcodeLine) -> None:
+    def apply(self, line: GcodeLine) -> None:
+        if line.code not in ("G0", "G1", "G92"):
+            return
         for p in line.params:
             if p.letter == "X":
                 self.x = p.value
@@ -355,17 +351,6 @@ class PrinterState:
             elif p.letter == "E":
                 if line.code == "G1":
                     self.extruded += max(0.0, p.value - self.e)
-                self.e = p.value
-
-    def apply_set_position(self, line: GcodeLine) -> None:
-        for p in line.params:
-            if p.letter == "X":
-                self.x = p.value
-            elif p.letter == "Y":
-                self.y = p.value
-            elif p.letter == "Z":
-                self.z = p.value
-            elif p.letter == "E":
                 self.e = p.value
 
 
@@ -416,9 +401,7 @@ def simulate(doc: GcodeDocument) -> PrintSummary:
                 if p.letter in ("X", "Y", "Z"):
                     lo, hi = bounds.get(p.letter, (p.value, p.value))
                     bounds[p.letter] = (min(lo, p.value), max(hi, p.value))
-            state.apply_move(line)
-        elif code == "G92":
-            state.apply_set_position(line)
+        state.apply(line)
 
     return PrintSummary(
         final_e=state.e,

@@ -31,10 +31,9 @@ from typing import Mapping
 from .gcode import (
     GcodeDocument,
     GcodeLine,
-    LineKind,
     Param,
+    PrinterState,
     make_command,
-    render_command,
     simulate,
 )
 from .synthgen import DatasetManifest
@@ -132,26 +131,6 @@ def select_range(doc: GcodeDocument, mode: RangeMode) -> range:
     return range(marks[first][0], marks[last][0])
 
 
-def _extruding_move_indices(doc: GcodeDocument, span: range) -> list[int]:
-    out = []
-    for i in span:
-        line = doc.lines[i]
-        if line.kind is LineKind.COMMAND and line.code == "G1" and line.has_param("E"):
-            out.append(i)
-    return out
-
-
-def _e_register_before(doc: GcodeDocument, stop: int) -> float:
-    """E register value after executing lines[:stop]."""
-    e = 0.0
-    for line in doc.lines[:stop]:
-        if line.kind is LineKind.COMMAND and line.code in ("G0", "G1", "G92"):
-            p = line.param("E")
-            if p is not None:
-                e = p.value
-    return e
-
-
 @dataclass(frozen=True)
 class MutationLog:
     """What one strategy application actually did to one document."""
@@ -181,20 +160,6 @@ class MutationLog:
         }
 
 
-def _with_e_text(line: GcodeLine, text: str) -> GcodeLine:
-    params = tuple(
-        Param("E", text, float(text)) if p.letter == "E" else p for p in line.params
-    )
-    return GcodeLine(
-        raw_text=render_command(line.code or "", params, line.comment),
-        kind=LineKind.COMMAND,
-        line_index=line.line_index,
-        code=line.code,
-        params=params,
-        comment=line.comment,
-    )
-
-
 def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocument, MutationLog]:
     """Return a mutated copy of ``doc`` plus a log of the edit.
 
@@ -202,75 +167,47 @@ def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocumen
     them). Raises ``EmptyRangeError`` when no move qualifies.
     """
     span = select_range(doc, strategy.range_mode)
-    moves = _extruding_move_indices(doc, span)
     sid = strategy.strategy_id
-    targets = moves if sid == "ID3" else moves[3::4]
+    # E registers of the original and of the rewritten stream. Only ID3 reads
+    # them; it sets ``new.e`` to each unrounded target it writes.
+    orig, new = PrinterState(), PrinterState()
+    prev_e = None  # original E of the latest extruding move in range
+    moves = 0
+    targets: list[int] = []
+    new_lines: list[GcodeLine] = []
+    for i, line in enumerate(doc.lines):
+        move_e = line.param("E") if line.code == "G1" and i in span else None
+        if move_e is not None:
+            moves += 1
+        if move_e is None or (sid != "ID3" and moves % 4):
+            new_lines.append(line)
+            new.apply(line)
+        else:
+            targets.append(i)
+            if sid in ("ID1", "ID2"):
+                params = tuple(q for q in line.params if q.letter not in ("E", "F"))
+                new_lines.append(make_command("G0", params, line.comment))
+                if sid == "ID2":
+                    blob = Param("E", format_minimal(move_e.value), move_e.value)
+                    new_lines.append(make_command("G1", (blob,)))
+            elif sid != "ID6":  # ID6 drops the target
+                if sid == "ID3":
+                    new.e += (move_e.value - orig.e) / 2.0
+                    text = f"{new.e:.5f}"
+                else:
+                    # Targets are 4 moves apart, so the previous move exists
+                    # and was not itself rewritten.
+                    text = format_minimal(prev_e if sid == "ID4" else prev_e + 0.0001)
+                params = tuple(
+                    Param("E", text, float(text)) if q.letter == "E" else q for q in line.params
+                )
+                new_lines.append(make_command(line.code, params, line.comment))
+        orig.apply(line)
+        if move_e is not None:
+            prev_e = move_e.value
     if not targets:
         raise EmptyRangeError(f"{sid}: no extruding moves to target in range")
-    target_set = set(targets)
 
-    original_summary = simulate(doc)
-    rewritten = deleted = inserted = 0
-    new_lines: list[GcodeLine] = list(doc.lines[: span.start])
-
-    if sid == "ID3":
-        orig_reg = new_reg = _e_register_before(doc, span.start)
-        for i in span:
-            line = doc.lines[i]
-            if i in target_set:
-                e = line.param("E").value
-                new_val = new_reg + (e - orig_reg) / 2.0
-                new_lines.append(_with_e_text(line, f"{new_val:.5f}"))
-                orig_reg, new_reg = e, new_val
-                rewritten += 1
-                continue
-            if line.kind is LineKind.COMMAND and line.code in ("G0", "G1", "G92"):
-                p = line.param("E")
-                if p is not None:
-                    # A register move we do not rewrite: both streams land on
-                    # the stated value and deltas continue from there.
-                    orig_reg = new_reg = p.value
-            new_lines.append(line)
-    elif sid in ("ID1", "ID2"):
-        for i in span:
-            line = doc.lines[i]
-            if i in target_set:
-                e = line.param("E").value
-                params = tuple(p for p in line.params if p.letter not in ("E", "F"))
-                new_lines.append(make_command("G0", params, line.comment))
-                rewritten += 1
-                if sid == "ID2":
-                    blob = Param("E", format_minimal(e), e)
-                    new_lines.append(make_command("G1", (blob,)))
-                    inserted += 1
-            else:
-                new_lines.append(line)
-    elif sid in ("ID4", "ID5"):
-        prev_e = None
-        for i in span:
-            line = doc.lines[i]
-            if i in target_set:
-                # Targets start at the 4th move, so a previous move always
-                # exists within the range.
-                value = prev_e if sid == "ID4" else prev_e + 0.0001
-                new_lines.append(_with_e_text(line, format_minimal(value)))
-                rewritten += 1
-            else:
-                new_lines.append(line)
-            # Track the original E of the latest extruding move; targets are
-            # 4 apart, so a target's predecessor is never itself rewritten.
-            if line.is_command("G1") and line.has_param("E"):
-                prev_e = line.param("E").value
-    elif sid == "ID6":
-        for i in span:
-            if i in target_set:
-                deleted += 1
-                continue
-            new_lines.append(doc.lines[i])
-    else:  # pragma: no cover - guarded by Strategy validation
-        raise AssertionError(sid)
-
-    new_lines.extend(doc.lines[span.stop :])
     mutated = GcodeDocument.from_lines(
         new_lines, source_path=doc.source_path, final_newline=doc.final_newline
     )
@@ -280,10 +217,10 @@ def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocumen
         span_start=span.start,
         span_end=span.stop,
         target_line_indices=tuple(targets),
-        lines_rewritten=rewritten,
-        lines_deleted=deleted,
-        lines_inserted=inserted,
-        original_final_e=original_summary.final_e,
+        lines_rewritten=0 if sid == "ID6" else len(targets),
+        lines_deleted=len(targets) if sid == "ID6" else 0,
+        lines_inserted=len(targets) if sid == "ID2" else 0,
+        original_final_e=orig.e,
         mutated_final_e=simulate(mutated).final_e,
     )
     return mutated, log

@@ -77,6 +77,8 @@ class TestExperimentConfig:
             self.base(detectors=("single_stat", "psychic")).validate()
         with pytest.raises(ValueError):
             self.base(range_overrides={"ID1": "middle75"}).validate()
+        with pytest.raises(ValueError, match="unknown detector: 'nosuch'"):
+            self.base(detector_params={"dbscan": {}, "nosuch": {}}).validate()
 
     def test_strategy_resolution(self):
         cfg = self.base(range_overrides={"ID1": "full100"})
@@ -275,9 +277,14 @@ class TestDetectCorpusComputesOnce:
         pts = fit_pca(z, 2).transform(z)
         labels = cluster_agglomerative(pts)
         expected = ["path,pc1,pc2,cluster_label"] + [
-            f"{p},{pc1!r},{pc2!r},{int(lab)}" for p, (pc1, pc2), lab in zip(fm.paths, pts, labels)
+            f"{p},{float(pc1)!r},{float(pc2)!r},{int(lab)}"
+            for p, (pc1, pc2), lab in zip(fm.paths, pts, labels)
         ]
-        assert (tmp_path / "flags" / "pca_scatter.csv").read_text().splitlines() == expected
+        rows = (tmp_path / "flags" / "pca_scatter.csv").read_text().splitlines()
+        assert rows == expected
+        for row in rows[1:]:
+            _, pc1, pc2, _ = row.split(",")
+            float(pc1), float(pc2)  # plain decimals, no numpy repr
 
 
 class TestRunAll:
@@ -313,6 +320,24 @@ class TestErrorPaths:
             "detect", "--src", str(tmp_path), "--out", str(tmp_path / "f"),
             "--detectors", "psychic",
         ]) == 1
+
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            ({"dbscan": {"epsilon": 0.5}}, "dbscan: unknown parameter override(s): 'epsilon'"),
+            ({"dbscan": {"eps": 0.5}, "nosuch": {}}, "unknown detector: 'nosuch'"),
+        ],
+    )
+    def test_unknown_detector_params(self, params, message, tiny_corpus, tmp_path, capsys):
+        src, _ = tiny_corpus
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(params))
+        out = tmp_path / "flags"
+        assert main([
+            "detect", "--src", str(src), "--out", str(out), "--params", str(params_path),
+        ]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_corpus(self, tmp_path):
         assert main([

@@ -511,6 +511,19 @@ class TestRunDetector:
         with pytest.raises(ValueError):
             run_detector("voodoo", jittered_fm)
 
+    @pytest.mark.parametrize(
+        "name,params,leftover",
+        [
+            ("dbscan", {"epsilon": 0.5, "eps": 2.5}, "'epsilon'"),
+            ("single_stat", {"min_fraction": 0.1}, "'min_fraction'"),
+            ("pca_agglomerative", {"bandwidth": 1.0, "nosuch": 0}, "'bandwidth', 'nosuch'"),
+        ],
+    )
+    def test_unknown_override_rejected(self, name, params, leftover, jittered_fm):
+        with pytest.raises(ValueError) as exc:
+            run_detector(name, jittered_fm, params)
+        assert str(exc.value) == f"{name}: unknown parameter override(s): {leftover}"
+
     def test_dbscan_overrides_echoed(self, jittered_fm):
         flags = run_detector("dbscan", jittered_fm, {"eps": 2.5, "min_samples": 3})
         assert flags.parameters["eps"] == 2.5

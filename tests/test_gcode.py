@@ -108,6 +108,10 @@ class TestParseDocument:
         with pytest.raises(MalformedFileError):
             parse_document("G1 X1 ;µ\n".encode("utf-8"))
 
+    def test_non_ascii_str_rejected(self):
+        with pytest.raises(MalformedFileError, match=r"^part\.gcode: not ASCII$"):
+            parse_document("G1 X1 ;µ\n", source_path="part.gcode")
+
 
 class TestSerialize:
     def test_single_blank_line(self):
@@ -124,7 +128,6 @@ class TestSerialize:
         swapped = make_command(
             "G0",
             tuple(p for p in doc.lines[1].params if p.letter != "E"),
-            line_index=1,
         )
         mutated = GcodeDocument.from_lines(
             [doc.lines[0], swapped, doc.lines[2]], doc.source_path, doc.final_newline

@@ -112,10 +112,10 @@ class TestApplyStrategy:
         for i in log.target_line_indices:
             original = doc.lines[i]
             converted = mutated.lines[i]
-            assert original.code == "G1" and original.has_param("E")
+            assert original.code == "G1" and original.param("E") is not None
             assert converted.code == "G0"
-            assert not converted.has_param("E")
-            assert not converted.has_param("F")
+            assert converted.param("E") is None
+            assert converted.param("F") is None
             assert converted.param("X").text == original.param("X").text
 
     def test_id1_locality(self):
@@ -241,6 +241,142 @@ class TestApplyStrategy:
         assert log.range_mode is RangeMode.FULL100
 
 
+# Every register move inside both ranges: a retraction (G1 E below the
+# register) and its unretract, a G92 E rebase, and a travel that sets E
+# (G0 ... E). Four layers, so middle50 is layers 1..2 (lines 7..20).
+REGISTER_MOVES = """\
+M82
+G92 E0.00000
+G1 E2.00000 F1800
+;LAYER:0
+G0 X0 Y0 Z0.200
+G1 X1 Y0 E2.10000
+G1 X2 Y0 E2.20000
+;LAYER:1
+G1 X3 Y0 E2.30000
+G1 E1.50000 F2400
+G0 X0 Y1 Z0.400
+G1 E2.30000 F2400
+G92 E0.00000
+G1 X1 Y1 E0.15000
+;LAYER:2
+G1 F1200
+G1 X2 Y1 E0.30000
+G1 X3 Y1 E0.45000
+G1 X4 Y1 E0.60000
+G0 X5 Y1 E0.50000
+G1 X6 Y1 E0.70000 ;wall
+;LAYER:3
+G0 X0 Y2 Z0.600
+G1 X1 Y2 E0.85000
+G1 X2 Y2 E1.00000
+"""
+
+REGISTER_MOVE_SPANS = {RangeMode.MIDDLE50: [7, 21], RangeMode.FULL100: [3, 25]}
+
+# (sid, mode) -> (target index -> replacement lines, (rewritten, deleted,
+# inserted), mutated final E). Literal values, so any change in how the
+# strategies track the E register across these lines shows up here.
+REGISTER_MOVE_EDITS = {
+    ("ID1", RangeMode.MIDDLE50): (
+        {13: ["G0 X1 Y1"], 20: ["G0 X6 Y1 ;wall"]},
+        (2, 0, 0),
+        1.0,
+    ),
+    ("ID1", RangeMode.FULL100): (
+        {9: ["G0"], 17: ["G0 X3 Y1"], 24: ["G0 X2 Y2"]},
+        (3, 0, 0),
+        0.85,
+    ),
+    ("ID2", RangeMode.MIDDLE50): (
+        {13: ["G0 X1 Y1", "G1 E0.15"], 20: ["G0 X6 Y1 ;wall", "G1 E0.7"]},
+        (2, 0, 2),
+        1.0,
+    ),
+    ("ID2", RangeMode.FULL100): (
+        {9: ["G0", "G1 E1.5"], 17: ["G0 X3 Y1", "G1 E0.45"], 24: ["G0 X2 Y2", "G1 E1"]},
+        (3, 0, 3),
+        1.0,
+    ),
+    ("ID3", RangeMode.MIDDLE50): (
+        {
+            8: ["G1 X3 Y0 E2.25000"],
+            9: ["G1 E1.85000 F2400"],
+            11: ["G1 E2.25000 F2400"],
+            13: ["G1 X1 Y1 E0.07500"],
+            16: ["G1 X2 Y1 E0.15000"],
+            17: ["G1 X3 Y1 E0.22500"],
+            18: ["G1 X4 Y1 E0.30000"],
+            20: ["G1 X6 Y1 E0.60000 ;wall"],
+        },
+        (8, 0, 0),
+        1.0,
+    ),
+    ("ID3", RangeMode.FULL100): (
+        {
+            5: ["G1 X1 Y0 E2.05000"],
+            6: ["G1 X2 Y0 E2.10000"],
+            8: ["G1 X3 Y0 E2.15000"],
+            9: ["G1 E1.75000 F2400"],
+            11: ["G1 E2.15000 F2400"],
+            13: ["G1 X1 Y1 E0.07500"],
+            16: ["G1 X2 Y1 E0.15000"],
+            17: ["G1 X3 Y1 E0.22500"],
+            18: ["G1 X4 Y1 E0.30000"],
+            20: ["G1 X6 Y1 E0.60000 ;wall"],
+            23: ["G1 X1 Y2 E0.67500"],
+            24: ["G1 X2 Y2 E0.75000"],
+        },
+        (12, 0, 0),
+        0.75,
+    ),
+    ("ID4", RangeMode.MIDDLE50): (
+        {13: ["G1 X1 Y1 E2.3"], 20: ["G1 X6 Y1 E0.6 ;wall"]},
+        (2, 0, 0),
+        1.0,
+    ),
+    ("ID4", RangeMode.FULL100): (
+        {9: ["G1 E2.3 F2400"], 17: ["G1 X3 Y1 E0.3"], 24: ["G1 X2 Y2 E0.85"]},
+        (3, 0, 0),
+        0.85,
+    ),
+    ("ID5", RangeMode.MIDDLE50): (
+        {13: ["G1 X1 Y1 E2.3001"], 20: ["G1 X6 Y1 E0.6001 ;wall"]},
+        (2, 0, 0),
+        1.0,
+    ),
+    ("ID5", RangeMode.FULL100): (
+        {9: ["G1 E2.3001 F2400"], 17: ["G1 X3 Y1 E0.3001"], 24: ["G1 X2 Y2 E0.8501"]},
+        (3, 0, 0),
+        0.8501,
+    ),
+    ("ID6", RangeMode.MIDDLE50): ({13: [], 20: []}, (0, 2, 0), 1.0),
+    ("ID6", RangeMode.FULL100): ({9: [], 17: [], 24: []}, (0, 3, 0), 0.85),
+}
+
+
+@pytest.mark.parametrize("sid,mode", list(REGISTER_MOVE_EDITS))
+def test_register_moves_in_range(sid, mode):
+    doc = parse_document(REGISTER_MOVES)
+    edits, (rewritten, deleted, inserted), mutated_final_e = REGISTER_MOVE_EDITS[sid, mode]
+    mutated, log = apply_strategy(doc, Strategy(sid, mode))
+    expected = []
+    for i, line in enumerate(doc.lines):
+        expected.extend(edits.get(i, [line.raw_text]))
+    assert line_texts(mutated) == expected
+    assert log.to_json_dict() == {
+        "strategy": sid,
+        "range_mode": mode.value,
+        "span": REGISTER_MOVE_SPANS[mode],
+        "targets": list(edits),
+        "lines_rewritten": rewritten,
+        "lines_deleted": deleted,
+        "lines_inserted": inserted,
+        "original_final_e": 1.0,
+        "mutated_final_e": mutated_final_e,
+    }
+
+
 @given(
     layers=st.integers(min_value=3, max_value=8),
     moves=st.integers(min_value=1, max_value=9),
@@ -273,7 +409,7 @@ def test_property_line_count_deltas(layers, moves):
     in_range = sum(
         1
         for i in span
-        if doc.lines[i].is_command("G1") and doc.lines[i].has_param("E")
+        if doc.lines[i].code == "G1" and doc.lines[i].param("E") is not None
     )
     expected = in_range // 4
     assume(expected > 0)
