@@ -29,7 +29,7 @@ from . import __version__
 from .detectors import DETECTOR_NAMES, FlagSet, run_detectors
 from .evaluate import emit_report
 from .features import build_matrix, extract, write_features_csv
-from .gcode import parse_document, serialize
+from .gcode import parse_document, scan, serialize
 from .mutate import (
     STRATEGY_IDS,
     CompromisePlan,
@@ -69,7 +69,7 @@ class ExperimentConfig:
         if sum(self.victims.values()) > self.count:
             raise ValueError("more victims than files")
         _check_detector_names(self.detectors)
-        _check_detector_names(self.detector_params)
+        _check_detector_params(self.detector_params)
         for sid, mode in self.range_overrides.items():
             if sid not in STRATEGY_IDS:
                 raise ValueError(f"unknown strategy in range_overrides: {sid!r}")
@@ -122,6 +122,19 @@ def _check_detector_names(names: Iterable[str]) -> None:
     for name in names:
         if name not in DETECTOR_NAMES:
             raise ValueError(f"unknown detector: {name!r}")
+
+
+def _check_detector_params(params: object) -> None:
+    """Overrides must map detector names to JSON objects of overrides."""
+    if not isinstance(params, dict):
+        raise ValueError(f"detector params must be a JSON object, got {type(params).__name__}")
+    _check_detector_names(params)
+    for name, overrides in params.items():
+        if not isinstance(overrides, dict):
+            raise ValueError(
+                f"{name}: parameter overrides must be a JSON object, "
+                f"got {type(overrides).__name__}"
+            )
 
 
 def stage_seed(master: int, label: str) -> int:
@@ -240,8 +253,9 @@ def detect_corpus(
 ) -> list[FlagSet]:
     """Feature pass plus every requested detector; writes flag sets and CSVs.
 
-    Files are parsed one at a time and each document is dropped once its
-    feature vector is extracted, so memory does not grow with the corpus.
+    Each file's features are folded straight off its ``scan`` records, one
+    file at a time: no document is built, and memory does not grow with the
+    corpus.
     Nothing is written until every detector has returned, so a detector
     that fails leaves no partial output behind.
     """
@@ -249,7 +263,7 @@ def detect_corpus(
     if not paths:
         raise ValueError(f"no .gcode files under {src}")
     fm = build_matrix([
-        extract(parse_document(src.joinpath(name).read_bytes(), source_path=name), path=name)
+        extract(scan(src.joinpath(name).read_bytes(), source_path=name), path=name)
         for name in paths
     ])
     flag_sets, pts, labels = run_detectors(fm, detectors, detector_params)
@@ -271,7 +285,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     params = {}
     if args.params:
         params = json.loads(Path(args.params).read_text())
-        _check_detector_names(params)
+        _check_detector_params(params)
     flag_sets = detect_corpus(Path(args.src), Path(args.out), detectors, params)
     for fs in flag_sets:
         print(f"{fs.detector}: flagged {len(fs.flagged)}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -60,9 +61,15 @@ class FeatureVector:
     e_decimal_histogram: tuple[tuple[int, int], ...]
 
 
-def extract(doc: GcodeDocument, path: str | None = None) -> FeatureVector:
-    """One simulation pass reduced to the canonical counts plus extras."""
-    summary = simulate(doc)
+def extract(source: GcodeDocument | Iterable[tuple], path: str | None = None) -> FeatureVector:
+    """One ``simulate`` pass reduced to the canonical counts plus extras.
+
+    ``source`` is anything ``simulate`` takes: a document or the records of
+    ``gcode.scan``. ``path`` defaults to a document's ``source_path``.
+    """
+    if path is None and isinstance(source, GcodeDocument):
+        path = source.source_path
+    summary = simulate(source)
     counts = tuple(
         summary.total_lines if name == "total_lines"
         else summary.command_counts.get(name, 0)
@@ -73,7 +80,7 @@ def extract(doc: GcodeDocument, path: str | None = None) -> FeatureVector:
         lo, hi = summary.bounds.get(axis, (0.0, 0.0))
         bounds.extend((lo, hi))
     return FeatureVector(
-        path=path if path is not None else (doc.source_path or ""),
+        path=path or "",
         counts=counts,
         layer_count=summary.layer_count,
         bounds=tuple(bounds),

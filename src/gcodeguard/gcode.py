@@ -1,4 +1,4 @@
-"""Parse, serialize, and simulate a pragmatic g-code subset.
+"""Scan, parse, serialize, and simulate a pragmatic g-code subset.
 
 The accepted format is line-oriented ASCII. Each line is one of:
 
@@ -14,8 +14,16 @@ serialized without modification reproduces its input byte for byte.
 Lines rebuilt after an edit are rendered canonically: code and parameters
 separated by single spaces, parameters in their original order.
 
+``scan`` is the one line scanner. It makes every check on a file (ASCII,
+line ends, grammar, ``M83``, duplicate letters, increasing layer marks) and
+yields one plain tuple per line. ``parse_document`` builds ``GcodeLine``
+objects from those tuples for code that edits or re-serializes a file.
+``simulate`` is the one fold that counts: it takes either a document or the
+tuples of ``scan`` directly, so reading features off a file builds no
+document at all.
+
 Only absolute extrusion is supported. ``M83`` (relative extrusion) is
-rejected at parse time rather than silently misinterpreted.
+rejected at scan time rather than silently misinterpreted.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ __all__ = [
     "PrinterState",
     "PrintSummary",
     "parse_line",
+    "scan",
     "parse_document",
     "serialize",
     "simulate",
@@ -129,8 +138,7 @@ class GcodeLine:
         """Layer index when this is a ``;LAYER:<n>`` marker comment."""
         if self.kind is not LineKind.COMMENT or self.comment is None:
             return None
-        m = _LAYER_MARK_RE.fullmatch(self.comment.strip())
-        return int(m.group(1)) if m else None
+        return _layer_of(self.comment)
 
 
 def render_command(code: str, params: Iterable[Param], comment: str | None = None) -> str:
@@ -161,6 +169,48 @@ def make_command(
     )
 
 
+def _layer_of(comment: str) -> int | None:
+    m = _LAYER_MARK_RE.fullmatch(comment.strip())
+    return int(m.group(1)) if m else None
+
+
+def _scan_line(text: str, line_index: int) -> tuple:
+    """The scan record of one line without newline characters.
+
+    Raises ``MalformedLineError`` on grammar violations, ``M83`` and
+    duplicate parameter letters.
+    """
+    stripped = text.strip()
+    if not stripped:
+        return (text, LineKind.BLANK, None, (), None, None)
+    if stripped[0] == ";":
+        comment = stripped[1:]
+        return (text, LineKind.COMMENT, None, (), comment, _layer_of(comment))
+    m = _COMMAND_RE.fullmatch(stripped)
+    if m is None:
+        raise MalformedLineError("unrecognized line syntax", text, line_index)
+    code, param_text, comment = m.groups()
+    if code == "M83":
+        raise MalformedLineError(
+            "relative extrusion (M83) is outside the supported subset", text, line_index
+        )
+    params = tuple(_PARAM_RE.findall(param_text))
+    if len(dict(params)) != len(params):
+        raise MalformedLineError("duplicate parameter letter", text, line_index)
+    return (text, LineKind.COMMAND, code, params, comment, None)
+
+
+def _line_from_record(record: tuple) -> GcodeLine:
+    raw_text, kind, code, params, comment, _ = record
+    return GcodeLine(
+        raw_text=raw_text,
+        kind=kind,
+        code=code,
+        params=tuple(Param(letter, text, float(text)) for letter, text in params),
+        comment=comment,
+    )
+
+
 def parse_line(text: str, line_index: int = 0) -> GcodeLine:
     """Parse one line (no newline characters allowed) into a ``GcodeLine``.
 
@@ -173,37 +223,7 @@ def parse_line(text: str, line_index: int = 0) -> GcodeLine:
     """
     if "\n" in text or "\r" in text:
         raise MalformedLineError("line contains a newline", text, line_index)
-    stripped = text.strip()
-    if not stripped:
-        return GcodeLine(raw_text=text, kind=LineKind.BLANK)
-    if stripped.startswith(";"):
-        return GcodeLine(
-            raw_text=text,
-            kind=LineKind.COMMENT,
-            comment=stripped[1:],
-        )
-
-    m = _COMMAND_RE.fullmatch(stripped)
-    if m is None:
-        raise MalformedLineError("unrecognized line syntax", text, line_index)
-    code = m.group("code")
-    if code == "M83":
-        raise MalformedLineError(
-            "relative extrusion (M83) is outside the supported subset", text, line_index
-        )
-    params = tuple(
-        Param(letter, num, float(num))
-        for letter, num in _PARAM_RE.findall(m.group("params"))
-    )
-    if len({p.letter for p in params}) != len(params):
-        raise MalformedLineError("duplicate parameter letter", text, line_index)
-    return GcodeLine(
-        raw_text=text,
-        kind=LineKind.COMMAND,
-        code=code,
-        params=params,
-        comment=m.group("comment"),
-    )
+    return _line_from_record(_scan_line(text, line_index))
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,55 +278,66 @@ class GcodeDocument:
         )
 
 
-def parse_document(data: bytes | str, source_path: str | None = None) -> GcodeDocument:
-    """Parse a whole file.
+def scan(data: bytes | str, source_path: str | None = None) -> Iterator[tuple]:
+    """Check a whole file and yield one plain record per line, in order.
 
-    Accepts bytes or str; either must be ASCII. Raises
-    ``MalformedFileError`` carrying the first offending line, if any.
+    A record is ``(raw_text, kind, code, params, comment, layer)``: ``params``
+    is ``((letter, text), ...)`` with each number's source text, ``code`` is
+    ``None`` for comments and blanks, and ``layer`` is the number of a
+    ``;LAYER:<n>`` mark, else ``None``. Accepts bytes or str; either must be
+    ASCII. CRLF line ends become LF. Raises ``MalformedFileError`` carrying
+    the first offending line, if any, once iteration reaches it.
     """
+    name = source_path or "<data>"
     if isinstance(data, bytes):
         try:
             text = data.decode("ascii")
         except UnicodeDecodeError as exc:
-            raise MalformedFileError(f"{source_path or '<data>'}: not ASCII: {exc}") from exc
+            raise MalformedFileError(f"{name}: not ASCII: {exc}") from exc
     elif data.isascii():
         text = data
     else:
-        raise MalformedFileError(f"{source_path or '<data>'}: not ASCII")
+        raise MalformedFileError(f"{name}: not ASCII")
     text = text.replace("\r\n", "\n")
     if "\r" in text:
-        raise MalformedFileError(f"{source_path or '<data>'}: bare carriage return")
+        raise MalformedFileError(f"{name}: bare carriage return")
 
     raw_lines = text.split("\n")
-    final_newline = True
-    if raw_lines and raw_lines[-1] == "":
+    if raw_lines[-1] == "":
         raw_lines.pop()
-    elif raw_lines:
-        final_newline = False
-
-    lines = []
-    marks = []
     last_layer = None
     for i, raw in enumerate(raw_lines):
         try:
-            line = parse_line(raw, line_index=i)
+            record = _scan_line(raw, i)
         except MalformedLineError as exc:
-            raise MalformedFileError(f"{source_path or '<data>'}: {exc}") from exc
-        lines.append(line)
-        layer = line.layer_number
+            raise MalformedFileError(f"{name}: {exc}") from exc
+        layer = record[5]
         if layer is not None:
             if last_layer is not None and layer <= last_layer:
                 raise MalformedFileError(
-                    f"{source_path or '<data>'}: layer markers not increasing "
+                    f"{name}: layer markers not increasing "
                     f"({last_layer} then {layer} at line {i + 1})"
                 )
             last_layer = layer
-            marks.append((i, layer))
+        yield record
+
+
+def parse_document(data: bytes | str, source_path: str | None = None) -> GcodeDocument:
+    """Parse a whole file into a document of ``GcodeLine`` objects.
+
+    Accepts what ``scan`` accepts and raises what it raises.
+    """
+    lines = []
+    marks = []
+    for i, record in enumerate(scan(data, source_path)):
+        lines.append(_line_from_record(record))
+        if record[5] is not None:
+            marks.append((i, record[5]))
     return GcodeDocument(
         lines=tuple(lines),
         layer_marks=tuple(marks),
         source_path=source_path,
-        final_newline=final_newline,
+        final_newline=not data or data.endswith(b"\n" if isinstance(data, bytes) else "\n"),
     )
 
 
@@ -324,12 +355,13 @@ def serialize(doc: GcodeDocument) -> bytes:
 
 @dataclass(slots=True)
 class PrinterState:
-    """Mutable machine registers, advanced one line at a time by ``apply``.
+    """Mutable machine registers, advanced one command at a time by ``apply``.
 
-    ``apply`` is the one definition of how lines move the registers. Extrusion
-    is absolute (M82): a G1 with E contributes ``max(0, E_target - E_register)``
-    of filament, then the register jumps to the target. G0 and G92 set the
-    named registers without extruding; every other line leaves them alone.
+    ``apply`` is the one definition of how commands move the registers.
+    Extrusion is absolute (M82): a G1 with E contributes
+    ``max(0, E_target - E_register)`` of filament, then the register jumps to
+    the target. G0 and G92 set the named registers without extruding; every
+    other command leaves them alone.
     """
 
     x: float = 0.0
@@ -338,20 +370,27 @@ class PrinterState:
     e: float = 0.0
     extruded: float = 0.0
 
-    def apply(self, line: GcodeLine) -> None:
-        if line.code not in ("G0", "G1", "G92"):
+    def apply(self, code: str | None, params: Iterable[tuple]) -> None:
+        """Apply one command given its code and parameters.
+
+        Each parameter is a sequence whose first two items are its letter
+        and number text: a scan ``(letter, text)`` pair or a ``Param``.
+        """
+        if code not in ("G0", "G1", "G92"):
             return
-        for p in line.params:
-            if p.letter == "X":
-                self.x = p.value
-            elif p.letter == "Y":
-                self.y = p.value
-            elif p.letter == "Z":
-                self.z = p.value
-            elif p.letter == "E":
-                if line.code == "G1":
-                    self.extruded += max(0.0, p.value - self.e)
-                self.e = p.value
+        for p in params:
+            letter = p[0]
+            if letter == "X":
+                self.x = float(p[1])
+            elif letter == "Y":
+                self.y = float(p[1])
+            elif letter == "Z":
+                self.z = float(p[1])
+            elif letter == "E":
+                e = float(p[1])
+                if code == "G1":
+                    self.extruded += max(0.0, e - self.e)
+                self.e = e
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,48 +408,70 @@ class PrintSummary:
     e_decimal_histogram: dict[int, int]
 
 
-def simulate(doc: GcodeDocument) -> PrintSummary:
-    """Execute the document against a fresh ``PrinterState``.
+def _records(doc: GcodeDocument) -> Iterator[tuple]:
+    """A document's lines as ``scan`` records."""
+    for line in doc.lines:
+        yield (
+            line.raw_text,
+            line.kind,
+            line.code,
+            tuple((p.letter, p.text) for p in line.params),
+            line.comment,
+            line.layer_number,
+        )
 
-    Bounds cover only axis values named explicitly on G0/G1 moves; modal
-    carry-over never widens them. The E-decimal histogram counts the textual
-    decimal places of every E parameter on any command, G92 included.
+
+def simulate(source: GcodeDocument | Iterable[tuple]) -> PrintSummary:
+    """Fold a document, or the records of ``scan``, into a ``PrintSummary``.
+
+    The registers advance through a fresh ``PrinterState``. Bounds cover
+    only axis values named explicitly on G0/G1 moves; modal carry-over never
+    widens them. The E-decimal histogram counts the textual decimal places
+    of every E parameter on any command, G92 included.
     """
+    records = _records(source) if isinstance(source, GcodeDocument) else source
     state = PrinterState()
     counts: dict[str, int] = {}
-    bounds: dict[str, tuple[float, float]] = {}
+    axes: dict[str, list[str]] = {"X": [], "Y": [], "Z": []}
     histogram: dict[int, int] = {}
     comments = 0
     blanks = 0
+    layers = 0
 
-    for line in doc.lines:
-        if line.kind is LineKind.COMMENT:
-            comments += 1
+    for _, kind, code, params, _, layer in records:
+        if code is None:
+            if kind is LineKind.BLANK:
+                blanks += 1
+            else:
+                comments += 1
+                if layer is not None:
+                    layers += 1
             continue
-        if line.kind is LineKind.BLANK:
-            blanks += 1
-            continue
-        code = line.code or ""
         counts[code] = counts.get(code, 0) + 1
-        for p in line.params:
-            if p.letter == "E":
-                d = p.decimals
+        if not params:
+            continue
+        move = code == "G0" or code == "G1"
+        for letter, text in params:
+            if letter == "E":
+                d = count_decimals(text)
                 histogram[d] = histogram.get(d, 0) + 1
-        if code in ("G0", "G1"):
-            for p in line.params:
-                if p.letter in ("X", "Y", "Z"):
-                    lo, hi = bounds.get(p.letter, (p.value, p.value))
-                    bounds[p.letter] = (min(lo, p.value), max(hi, p.value))
-        state.apply(line)
+            elif move and letter in axes:
+                axes[letter].append(text)
+        state.apply(code, params)
 
+    bounds = {}
+    for axis, texts in axes.items():
+        if texts:
+            values = [float(t) for t in texts]
+            bounds[axis] = (min(values), max(values))
     return PrintSummary(
         final_e=state.e,
         total_extruded=state.extruded,
         bounds=bounds,
-        layer_count=doc.layer_count,
+        layer_count=layers,
         command_counts=counts,
         comment_lines=comments,
         blank_lines=blanks,
-        total_lines=len(doc.lines),
+        total_lines=comments + blanks + sum(counts.values()),
         e_decimal_histogram=histogram,
     )

@@ -181,7 +181,7 @@ def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocumen
             moves += 1
         if move_e is None or (sid != "ID3" and moves % 4):
             new_lines.append(line)
-            new.apply(line)
+            new.apply(line.code, line.params)
         else:
             targets.append(i)
             if sid in ("ID1", "ID2"):
@@ -202,7 +202,7 @@ def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocumen
                     Param("E", text, float(text)) if q.letter == "E" else q for q in line.params
                 )
                 new_lines.append(make_command(line.code, params, line.comment))
-        orig.apply(line)
+        orig.apply(line.code, line.params)
         if move_e is not None:
             prev_e = move_e.value
     if not targets:

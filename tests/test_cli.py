@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import gc
 import json
-import weakref
 
 import pytest
 
@@ -20,7 +18,7 @@ from gcodeguard.cli import (
 )
 from gcodeguard.detectors import DETECTOR_NAMES, cluster_agglomerative, fit_pca
 from gcodeguard.features import build_matrix, extract, standardize, write_features_csv
-from gcodeguard.gcode import GcodeDocument, parse_document
+from gcodeguard.gcode import GcodeDocument, GcodeLine, Param, parse_document
 from gcodeguard.mutate import STRATEGY_IDS, RangeMode
 from gcodeguard.synthgen import SpecimenSpec, generate_dataset
 
@@ -79,6 +77,10 @@ class TestExperimentConfig:
             self.base(range_overrides={"ID1": "middle75"}).validate()
         with pytest.raises(ValueError, match="unknown detector: 'nosuch'"):
             self.base(detector_params={"dbscan": {}, "nosuch": {}}).validate()
+        with pytest.raises(ValueError, match="^detector params must be a JSON object, got list$"):
+            self.base(detector_params=[]).validate()
+        with pytest.raises(ValueError, match="^dbscan: parameter overrides must be a JSON object"):
+            self.base(detector_params={"dbscan": 5}).validate()
 
     def test_strategy_resolution(self):
         cfg = self.base(range_overrides={"ID1": "full100"})
@@ -215,12 +217,6 @@ class TestPipeline:
             assert (rerun / path.name).read_bytes() == path.read_bytes()
 
 
-class _WeakDocument(GcodeDocument):
-    """A document a weak reference can point at (GcodeDocument has slots)."""
-
-    __slots__ = ("__weakref__",)
-
-
 def per_file_matrix(src, manifest):
     return build_matrix([
         extract(parse_document((src / en.path).read_bytes()), path=en.path)
@@ -238,22 +234,19 @@ class TestDetectCorpusSinglePass:
             tmp_path / "expected.csv"
         ).read_bytes()
 
-    def test_one_parsed_document_alive_at_a_time(self, tiny_corpus, tmp_path, monkeypatch):
+    def test_builds_no_parsed_document(self, tiny_corpus, tmp_path, monkeypatch):
         src, manifest = tiny_corpus
-        refs = []
-        alive_before_parse = []
 
-        def tracked_parse(data, source_path=None):
-            gc.collect()
-            alive_before_parse.append(sum(ref() is not None for ref in refs))
-            doc = parse_document(data, source_path=source_path)
-            tracked = _WeakDocument(doc.lines, doc.layer_marks, doc.source_path, doc.final_newline)
-            refs.append(weakref.ref(tracked))
-            return tracked
+        def refuse(*args, **kwargs):
+            raise AssertionError("detect_corpus built parsed g-code objects")
 
-        monkeypatch.setattr(cli, "parse_document", tracked_parse)
+        monkeypatch.setattr(cli, "parse_document", refuse)
+        monkeypatch.setattr(GcodeDocument, "__init__", refuse)
+        monkeypatch.setattr(GcodeLine, "__init__", refuse)
+        monkeypatch.setattr(Param, "__new__", refuse)
         detect_corpus(src, tmp_path / "flags", ("single_stat",), {})
-        assert alive_before_parse == [0] * len(manifest.entries)
+        rows = (tmp_path / "flags" / "features.csv").read_text().splitlines()
+        assert len(rows) == 1 + len(manifest.entries)
 
 
 class TestDetectCorpusComputesOnce:
@@ -337,6 +330,34 @@ class TestErrorPaths:
             "detect", "--src", str(src), "--out", str(out), "--params", str(params_path),
         ]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            ({"dbscan": 5}, "dbscan: parameter overrides must be a JSON object, got int"),
+            ([], "detector params must be a JSON object, got list"),
+        ],
+    )
+    def test_malformed_detector_params(self, params, message, tiny_corpus, tmp_path, capsys):
+        src, _ = tiny_corpus
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(params))
+        out = tmp_path / "flags"
+        assert main([
+            "detect", "--src", str(src), "--out", str(out), "--params", str(params_path),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_malformed_detector_params_in_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"preset": "d1", "detector_params": {"dbscan": 5}}))
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: dbscan: parameter overrides must be a JSON object, got int\n"
+        )
         assert not out.exists()
 
     def test_empty_corpus(self, tmp_path):

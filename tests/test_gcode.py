@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gcodeguard.gcode import (
     GcodeDocument,
     LineKind,
+    PrintSummary,
     MalformedFileError,
     MalformedLineError,
     Param,
@@ -17,9 +18,11 @@ from gcodeguard.gcode import (
     parse_document,
     parse_line,
     render_command,
+    scan,
     serialize,
     simulate,
 )
+from gcodeguard.features import extract
 
 from conftest import doc_from
 
@@ -273,3 +276,133 @@ def test_property_deleting_g1_preserves_final_e(data):
     full = simulate(parse_document(text_all.encode("ascii")))
     cut = simulate(parse_document(text_cut.encode("ascii")))
     assert cut.final_e == full.final_e
+
+
+def plain_simulate(doc: GcodeDocument) -> PrintSummary:
+    """Reference fold over parsed lines: per-move bound updates, Param values."""
+    e = extruded = 0.0
+    counts: dict[str, int] = {}
+    bounds: dict[str, tuple[float, float]] = {}
+    histogram: dict[int, int] = {}
+    comments = blanks = 0
+    for line in doc.lines:
+        if line.kind is LineKind.COMMENT:
+            comments += 1
+            continue
+        if line.kind is LineKind.BLANK:
+            blanks += 1
+            continue
+        counts[line.code] = counts.get(line.code, 0) + 1
+        for p in line.params:
+            if p.letter == "E":
+                histogram[p.decimals] = histogram.get(p.decimals, 0) + 1
+                if line.code in ("G0", "G1", "G92"):
+                    if line.code == "G1":
+                        extruded += max(0.0, p.value - e)
+                    e = p.value
+            elif p.letter in "XYZ" and line.code in ("G0", "G1"):
+                lo, hi = bounds.get(p.letter, (p.value, p.value))
+                bounds[p.letter] = (min(lo, p.value), max(hi, p.value))
+    return PrintSummary(
+        final_e=e,
+        total_extruded=extruded,
+        bounds=bounds,
+        layer_count=doc.layer_count,
+        command_counts=counts,
+        comment_lines=comments,
+        blank_lines=blanks,
+        total_lines=len(doc.lines),
+        e_decimal_histogram=histogram,
+    )
+
+
+_param_line = st.tuples(
+    st.sampled_from(["G0", "G1", "G1", "G92", "M82", "M104", "M106", "G28"]),
+    st.lists(st.tuples(st.sampled_from("XYZEFS"), _number), max_size=5, unique_by=lambda t: t[0]),
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["", " ;move", "\t; inner ; text", ";"]),
+).map(lambda t: t[2] + " ".join([t[0], *(f"{k}{v}" for k, v in t[1])]) + t[3])
+
+# None marks a layer comment; its number is filled in increasing order.
+_any_line = st.one_of(
+    _param_line,
+    _param_line,
+    st.sampled_from(["", " ", "\t \t", ";TYPE:WALL", " ;LAYER:x", ";LAYER:-1", ";"]),
+    st.just(None),
+)
+
+
+@st.composite
+def _documents(draw):
+    lines = draw(st.lists(_any_line, min_size=10, max_size=60))
+    layer = draw(st.integers(0, 5))
+    for i, line in enumerate(lines):
+        if line is None:
+            lines[i] = draw(st.sampled_from([";LAYER:{}", "  ;LAYER:{}  "])).format(layer)
+            layer += draw(st.integers(1, 3))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no final newline
+    return text.encode("ascii") if draw(st.booleans()) else text
+
+
+@given(_documents())
+def test_property_scan_fold_equals_parsed_fold(data):
+    doc = parse_document(data)
+    assert extract(scan(data)) == extract(doc)
+    assert simulate(scan(data)) == simulate(doc) == plain_simulate(doc)
+    assert [r[0] for r in scan(data)] == [line.raw_text for line in doc.lines]
+    assert simulate(scan(data)).layer_count == doc.layer_count
+    normalized = data if isinstance(data, bytes) else data.encode("ascii")
+    assert serialize(doc) == normalized.replace(b"\r\n", b"\n")
+
+
+def test_scan_records():
+    data = b" G1 X1.50 E2 ;c\n\n;LAYER:3\r\n;note"
+    assert list(scan(data)) == [
+        (" G1 X1.50 E2 ;c", LineKind.COMMAND, "G1", (("X", "1.50"), ("E", "2")), "c", None),
+        ("", LineKind.BLANK, None, (), None, None),
+        (";LAYER:3", LineKind.COMMENT, None, (), "LAYER:3", 3),
+        (";note", LineKind.COMMENT, None, (), "note", None),
+    ]
+    assert parse_document(data).final_newline is False
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (
+            b"G1 X1 ;\xc2\xb5\n",
+            "p.gcode: not ASCII: 'ascii' codec can't decode byte 0xc2 in position 7: "
+            "ordinal not in range(128)",
+        ),
+        ("G1 X1 ;\u00b5\n", "p.gcode: not ASCII"),
+        (b"G1 X1\rG1 X2\n", "p.gcode: bare carriage return"),
+        (b"G1 X1\nnot gcode\n", "p.gcode: unrecognized line syntax (line 2): 'not gcode'"),
+        (
+            b"M82\nM83\n",
+            "p.gcode: relative extrusion (M83) is outside the supported subset (line 2): 'M83'",
+        ),
+        (b"G1 X1 X2\n", "p.gcode: duplicate parameter letter (line 1): 'G1 X1 X2'"),
+        (b";LAYER:1\n;LAYER:1\n", "p.gcode: layer markers not increasing (1 then 1 at line 2)"),
+        (
+            b";LAYER:2\nG1 X1 Y1 X1\n;LAYER:1\nM83\n",
+            "p.gcode: duplicate parameter letter (line 2): 'G1 X1 Y1 X1'",
+        ),
+        (
+            b"G1 X1\r\n;LAYER:3\r\n;LAYER:2",
+            "p.gcode: layer markers not increasing (3 then 2 at line 3)",
+        ),
+    ],
+    ids=[
+        "bytes-not-ascii", "str-not-ascii", "bare-cr", "bad-syntax", "m83",
+        "duplicate-letter", "layer-not-increasing", "first-fault-wins", "crlf-layer",
+    ],
+)
+def test_scan_and_parse_raise_the_same_message(data, message):
+    with pytest.raises(MalformedFileError) as parsed:
+        parse_document(data, source_path="p.gcode")
+    with pytest.raises(MalformedFileError) as scanned:
+        list(scan(data, source_path="p.gcode"))
+    assert str(parsed.value) == str(scanned.value) == message
