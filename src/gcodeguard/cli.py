@@ -22,13 +22,15 @@ import json
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Iterable
 
 from . import __version__
+from ._pool import map_ordered
 from .detectors import DETECTOR_NAMES, FlagSet, run_detectors
 from .evaluate import emit_report
-from .features import build_matrix, extract, write_features_csv
+from .features import FeatureVector, build_matrix, extract, write_features_csv
 from .gcode import parse_document, scan, serialize
 from .mutate import (
     STRATEGY_IDS,
@@ -70,6 +72,10 @@ class ExperimentConfig:
             raise ValueError("more victims than files")
         _check_detector_names(self.detectors)
         _check_detector_params(self.detector_params)
+        if not isinstance(self.range_overrides, dict):
+            raise ValueError(
+                f"range_overrides must be a JSON object, got {type(self.range_overrides).__name__}"
+            )
         for sid, mode in self.range_overrides.items():
             if sid not in STRATEGY_IDS:
                 raise ValueError(f"unknown strategy in range_overrides: {sid!r}")
@@ -147,21 +153,27 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     """Resolve preset/config-file/flag layers into one validated config."""
     if getattr(args, "config", None):
         data = json.loads(Path(args.config).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         base = PRESETS[data.pop("preset")] if "preset" in data else None
         if base is not None:
             merged = base.to_json_dict()
             merged.update(data)
             data = merged
-        cfg = ExperimentConfig(
-            dataset_id=data["dataset_id"],
-            count=int(data["count"]),
-            angular_step=float(data["angular_step"]),
-            victims={k: int(v) for k, v in data.get("victims", {}).items()},
-            seed=int(data.get("seed", 719)),
-            detectors=tuple(data.get("detectors", DETECTOR_NAMES)),
-            detector_params=data.get("detector_params", {}),
-            range_overrides=data.get("range_overrides", {}),
-        )
+        try:
+            cfg = ExperimentConfig(
+                dataset_id=data["dataset_id"],
+                count=int(data["count"]),
+                angular_step=float(data["angular_step"]),
+                victims={k: int(v) for k, v in data.get("victims", {}).items()},
+                seed=int(data.get("seed", 719)),
+                detectors=tuple(data.get("detectors", DETECTOR_NAMES)),
+                detector_params=data.get("detector_params", {}),
+                range_overrides=data.get("range_overrides", {}),
+            )
+        except (TypeError, AttributeError) as exc:
+            # A value of the wrong JSON type, e.g. "count": null.
+            raise ValueError(f"bad config value: {exc}") from exc
     elif getattr(args, "preset", None):
         cfg = PRESETS[args.preset]
     else:
@@ -248,24 +260,27 @@ def write_compromised(
     )
 
 
+def _file_features(src: Path, name: str) -> FeatureVector:
+    """One file's features, folded straight off its ``scan`` records."""
+    return extract(scan(src.joinpath(name).read_bytes(), source_path=name), path=name)
+
+
 def detect_corpus(
     src: Path, out: Path, detectors: tuple[str, ...], detector_params: dict[str, dict]
 ) -> list[FlagSet]:
     """Feature pass plus every requested detector; writes flag sets and CSVs.
 
     Each file's features are folded straight off its ``scan`` records, one
-    file at a time: no document is built, and memory does not grow with the
-    corpus.
+    file at a time per usable CPU: no document is built, and memory does not
+    grow with the corpus. When files fail, the first in sorted order names
+    the error.
     Nothing is written until every detector has returned, so a detector
     that fails leaves no partial output behind.
     """
     paths = sorted(p.name for p in src.glob("*.gcode"))
     if not paths:
         raise ValueError(f"no .gcode files under {src}")
-    fm = build_matrix([
-        extract(scan(src.joinpath(name).read_bytes(), source_path=name), path=name)
-        for name in paths
-    ])
+    fm = build_matrix(map_ordered(partial(_file_features, src), paths))
     flag_sets, pts, labels = run_detectors(fm, detectors, detector_params)
 
     out.mkdir(parents=True, exist_ok=True)

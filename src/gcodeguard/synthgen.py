@@ -20,8 +20,10 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
+from ._pool import map_ordered
 from .gcode import GcodeDocument, parse_document
 
 __all__ = [
@@ -397,6 +399,13 @@ class DatasetManifest:
         )
 
 
+def _write_specimen(spec: SpecimenSpec, out_dir: Path, entry: ManifestEntry) -> None:
+    # Written as emitted, without a parse: tests check that every generated
+    # file parses and serializes back to the same bytes.
+    text = _emit_specimen(spec, entry.angle_deg, entry.seed)
+    (out_dir / entry.path).write_bytes(text.encode("ascii"))
+
+
 def generate_dataset(
     spec: SpecimenSpec,
     count: int,
@@ -419,19 +428,16 @@ def generate_dataset(
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
-    entries = []
-    for i in range(count):
-        angle = i * angular_step
-        file_seed = rng.randrange(2**32)
-        name = f"{spec.name}_{i:04d}.gcode"
-        # Written as emitted, without a parse: tests check that every
-        # generated file parses and serializes back to the same bytes.
-        (out_path / name).write_bytes(_emit_specimen(spec, angle, file_seed).encode("ascii"))
-        entries.append(ManifestEntry(path=name, angle_deg=angle, seed=file_seed))
+    entries = tuple(
+        ManifestEntry(path=f"{spec.name}_{i:04d}.gcode", angle_deg=i * angular_step,
+                      seed=rng.randrange(2**32))
+        for i in range(count)
+    )
+    map_ordered(partial(_write_specimen, spec, out_path), entries)
     manifest = DatasetManifest(
         dataset_id=dataset_id,
         generator_version=GENERATOR_VERSION,
-        entries=tuple(entries),
+        entries=entries,
     )
     manifest.save(out_path / "manifest.json")
     return manifest

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import os
+import shutil
 
 import pytest
+from conftest import TINY_SPEC
 
-from gcodeguard import cli, detectors
+from gcodeguard import _pool, cli, detectors
 from gcodeguard.cli import (
     PRESETS,
     ExperimentConfig,
@@ -383,6 +387,24 @@ class TestErrorPaths:
             "generate", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
         ]) == 1
 
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"preset": "d1", "count": None}, "bad config value: int() argument"),
+            ({"preset": "d1", "victims": {"ID1": [2]}}, "bad config value: int() argument"),
+            ([{"preset": "d1"}], "config must be a JSON object, got list"),
+        ],
+    )
+    def test_bad_config_type(self, config, message, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main([
+            "run-all", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--dry-run",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
     def test_missing_config_source(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "o")]) == 1
 
@@ -393,6 +415,69 @@ class TestErrorPaths:
             "evaluate", "--flags", str(empty), "--truth", "x", "--manifest", "y",
             "--out", str(tmp_path / "r"),
         ]) == 1
+
+
+def single_cpu(monkeypatch):
+    """Make ``map_ordered`` in this process see one usable CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def pooled_corpus(tmp_path_factory):
+    """(pooled, in_process): one tiny sweep large enough to start workers,
+    generated once through the pool and once in-process."""
+    count = 2 * _pool.FILES_PER_WORKER
+    root = tmp_path_factory.mktemp("pooled")
+    pooled, in_process = root / "pooled", root / "in_process"
+    generate_dataset(TINY_SPEC, count, 6.0, pooled, seed=5, dataset_id="TINY")
+    with pytest.MonkeyPatch.context() as mp:
+        single_cpu(mp)
+        generate_dataset(TINY_SPEC, count, 6.0, in_process, seed=5, dataset_id="TINY")
+    return pooled, in_process
+
+
+@pytest.mark.skipif(_pool._usable_cpus() < 2, reason="fewer than 2 usable CPUs: no workers start")
+class TestPooledStages:
+    """generate and detect give the same bytes through workers as in-process,
+    and the first bad file in sorted order fails detect with nothing written."""
+
+    def test_generate_is_byte_identical(self, pooled_corpus):
+        pooled, in_process = pooled_corpus
+        assert len(list(pooled.glob("*.gcode"))) == 2 * _pool.FILES_PER_WORKER
+        assert tree_bytes(pooled) == tree_bytes(in_process)
+        assert multiprocessing.active_children() == []
+
+    def test_detect_is_byte_identical(self, pooled_corpus, tmp_path, monkeypatch):
+        src, _ = pooled_corpus
+        assert main(["detect", "--src", str(src), "--out", str(tmp_path / "pooled")]) == 0
+        single_cpu(monkeypatch)
+        assert main(["detect", "--src", str(src), "--out", str(tmp_path / "in_process")]) == 0
+        assert tree_bytes(tmp_path / "pooled") == tree_bytes(tmp_path / "in_process")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("m83_at,ff_at", [(45, 17), (17, 45)])
+    def test_first_bad_file_fails_detect(self, m83_at, ff_at, pooled_corpus, tmp_path, capsys):
+        src = tmp_path / "hostile"
+        shutil.copytree(pooled_corpus[0], src)
+        names = sorted(p.name for p in src.glob("*.gcode"))
+        with open(src / names[m83_at], "a") as fh:
+            fh.write("M83\n")
+        with open(src / names[ff_at], "ab") as fh:
+            fh.write(b"\xff")
+        out = tmp_path / "flags"
+        assert main(["detect", "--src", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        first = names[min(m83_at, ff_at)]
+        reason = "relative extrusion (M83)" if m83_at < ff_at else "not ASCII"
+        assert err.startswith(f"error: {first}: ") and reason in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
 
 class TestUntouchableVictims:

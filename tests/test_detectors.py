@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gcodeguard import detectors
@@ -604,6 +604,8 @@ def plain_meanshift(pts):
 
 def plain_knee_epsilon(x, k):
     """knee_epsilon from every point's k-th nearest other point."""
+    if len(x) <= k:
+        raise ValueError(f"need more than {k} points, got {len(x)}")
     dist = np.sqrt(broadcast_sq_dists(x, x))
     np.fill_diagonal(dist, np.inf)
     kth = np.sort(dist, axis=1)[:, k - 1]
@@ -669,12 +671,20 @@ class TestRepeatedRows:
         assert knee_epsilon(x, k=k) == plain_knee_epsilon(x, k)
 
     @given(repeated_rows(), st.floats(0.2, 3.0), st.integers(1, 8))
+    # six single rows with min_samples 7: too few points for the k-NN knee
+    @example((np.random.default_rng(0).normal(size=(6, 2)), np.arange(6)), 1.0, 7)
     def test_dbscan(self, case, eps, min_samples):
         x, owner = case
         labels, _ = cluster_dbscan(x, eps=eps, min_samples=min_samples)
         assert np.array_equal(labels, naive_dbscan(x, eps, min_samples))
         assert copies_share_labels(labels, owner)
         if min_samples == 1:
+            return
+        if len(x) <= min_samples - 1:
+            with pytest.raises(ValueError, match="need more than"):
+                plain_knee_epsilon(x, min_samples - 1)
+            with pytest.raises(ValueError, match="need more than"):
+                cluster_dbscan(x, min_samples=min_samples)
             return
         expected = plain_knee_epsilon(x, min_samples - 1)
         if expected > 0.0:
