@@ -8,11 +8,9 @@ and clustering detectors, and score the flags against ground truth.
 
 from .gcode import (
     GcodeDocument,
-    GcodeLine,
     MalformedFileError,
     MalformedLineError,
     parse_document,
-    parse_line,
     serialize,
     simulate,
 )
@@ -43,11 +41,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GcodeDocument",
-    "GcodeLine",
     "MalformedFileError",
     "MalformedLineError",
     "parse_document",
-    "parse_line",
     "serialize",
     "simulate",
     "DatasetManifest",

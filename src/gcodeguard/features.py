@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gcode import GcodeDocument, simulate
+from .gcode import simulate
 
 __all__ = [
     "FEATURE_NAMES",
@@ -61,14 +61,14 @@ class FeatureVector:
     e_decimal_histogram: tuple[tuple[int, int], ...]
 
 
-def extract(source: GcodeDocument | Iterable[tuple], path: str | None = None) -> FeatureVector:
+def extract(source: Iterable[tuple], path: str | None = None) -> FeatureVector:
     """One ``simulate`` pass reduced to the canonical counts plus extras.
 
     ``source`` is anything ``simulate`` takes: a document or the records of
     ``gcode.scan``. ``path`` defaults to a document's ``source_path``.
     """
-    if path is None and isinstance(source, GcodeDocument):
-        path = source.source_path
+    if path is None:
+        path = getattr(source, "source_path", None)
     summary = simulate(source)
     counts = tuple(
         summary.total_lines if name == "total_lines"

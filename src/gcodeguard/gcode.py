@@ -14,13 +14,13 @@ serialized without modification reproduces its input byte for byte.
 Lines rebuilt after an edit are rendered canonically: code and parameters
 separated by single spaces, parameters in their original order.
 
-``scan`` is the one line scanner. It makes every check on a file (ASCII,
-line ends, grammar, ``M83``, duplicate letters, increasing layer marks) and
-yields one plain tuple per line. ``parse_document`` builds ``GcodeLine``
-objects from those tuples for code that edits or re-serializes a file.
-``simulate`` is the one fold that counts: it takes either a document or the
-tuples of ``scan`` directly, so reading features off a file builds no
-document at all.
+``scan`` is the one line scanner and its record the one line type. It
+makes every check on a file (ASCII, line ends, grammar, ``M83``, duplicate
+letters, increasing layer marks) and yields one plain tuple per line.
+A ``GcodeDocument`` is those records held in order, for code that edits or
+re-serializes a file. ``simulate`` is the one fold that counts: it takes any
+iterable of records, a document or ``scan`` itself, so reading features off
+a file builds no document at all.
 
 Only absolute extrusion is supported. ``M83`` (relative extrusion) is
 rejected at scan time rather than silently misinterpreted.
@@ -31,18 +31,15 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 __all__ = [
     "MalformedLineError",
     "MalformedFileError",
     "LineKind",
-    "Param",
-    "GcodeLine",
     "GcodeDocument",
     "PrinterState",
     "PrintSummary",
-    "parse_line",
     "scan",
     "parse_document",
     "serialize",
@@ -58,8 +55,14 @@ class MalformedLineError(ValueError):
         # line_index is 0-based like document line lists; messages are 1-based.
         location = f" (line {line_index + 1})" if line_index is not None else ""
         super().__init__(f"{message}{location}: {text!r}")
+        self.message = message
         self.text = text
         self.line_index = line_index
+
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, not the formatted text,
+        # so a copy sent between processes has the same message.
+        return type(self), (self.message, self.text, self.line_index)
 
 
 class MalformedFileError(ValueError):
@@ -70,22 +73,6 @@ class LineKind(enum.Enum):
     COMMAND = "command"
     COMMENT = "comment"
     BLANK = "blank"
-
-
-class Param(NamedTuple):
-    """One command parameter, e.g. ``X12.5`` -> ``Param("X", "12.5", 12.5)``.
-
-    ``text`` is the exact numeric token from the source (or the token chosen
-    when a line is rebuilt); ``value`` is its float interpretation.
-    """
-
-    letter: str
-    text: str
-    value: float
-
-    @property
-    def decimals(self) -> int:
-        return count_decimals(self.text)
 
 
 # Number tokens are plain decimals: no exponents, no leading letters, at most
@@ -109,64 +96,6 @@ def count_decimals(number_text: str) -> int:
     """
     dot = number_text.find(".")
     return 0 if dot < 0 else len(number_text) - dot - 1
-
-
-@dataclass(frozen=True, slots=True)
-class GcodeLine:
-    """One source line plus its parse.
-
-    ``raw_text`` has no trailing newline and is authoritative for
-    serialization. ``params`` is empty for comments and blanks. ``comment``
-    holds the text after ``;`` for both comment lines and inline command
-    comments (without the semicolon).
-    """
-
-    raw_text: str
-    kind: LineKind
-    code: str | None = None
-    params: tuple[Param, ...] = ()
-    comment: str | None = None
-
-    def param(self, letter: str) -> Param | None:
-        for p in self.params:
-            if p.letter == letter:
-                return p
-        return None
-
-    @property
-    def layer_number(self) -> int | None:
-        """Layer index when this is a ``;LAYER:<n>`` marker comment."""
-        if self.kind is not LineKind.COMMENT or self.comment is None:
-            return None
-        return _layer_of(self.comment)
-
-
-def render_command(code: str, params: Iterable[Param], comment: str | None = None) -> str:
-    """Canonical text for a rebuilt command line."""
-    parts = [code]
-    parts.extend(f"{p.letter}{p.text}" for p in params)
-    if comment is not None:
-        parts.append(f";{comment}")
-    return " ".join(parts)
-
-
-def make_command(
-    code: str,
-    params: Iterable[Param] = (),
-    comment: str | None = None,
-) -> GcodeLine:
-    """Build a command line from parts; raw text is the canonical rendering.
-
-    Lines carry no index: a line's index is its position in a document.
-    """
-    params = tuple(params)
-    return GcodeLine(
-        raw_text=render_command(code, params, comment),
-        kind=LineKind.COMMAND,
-        code=code,
-        params=params,
-        comment=comment,
-    )
 
 
 def _layer_of(comment: str) -> int | None:
@@ -200,82 +129,28 @@ def _scan_line(text: str, line_index: int) -> tuple:
     return (text, LineKind.COMMAND, code, params, comment, None)
 
 
-def _line_from_record(record: tuple) -> GcodeLine:
-    raw_text, kind, code, params, comment, _ = record
-    return GcodeLine(
-        raw_text=raw_text,
-        kind=kind,
-        code=code,
-        params=tuple(Param(letter, text, float(text)) for letter, text in params),
-        comment=comment,
-    )
-
-
-def parse_line(text: str, line_index: int = 0) -> GcodeLine:
-    """Parse one line (no newline characters allowed) into a ``GcodeLine``.
-
-    ``line_index`` (0-based) only locates the line in error messages.
-
-    Raises
-    ------
-    MalformedLineError
-        On grammar violations, duplicate parameter letters, or ``M83``.
-    """
-    if "\n" in text or "\r" in text:
-        raise MalformedLineError("line contains a newline", text, line_index)
-    return _line_from_record(_scan_line(text, line_index))
-
-
 @dataclass(frozen=True, slots=True)
 class GcodeDocument:
-    """An ordered, immutable sequence of parsed lines.
+    """A file's ``scan`` records, in order.
 
-    ``layer_marks`` pairs each ``;LAYER:<n>`` comment with its line index, in
-    document order. ``final_newline`` records whether the source ended with a
-    newline so serialization can reproduce it.
+    ``final_newline`` records whether the source ended with a newline so
+    serialization can reproduce it.
     """
 
-    lines: tuple[GcodeLine, ...]
-    layer_marks: tuple[tuple[int, int], ...] = ()
+    lines: tuple[tuple, ...]
     source_path: str | None = None
     final_newline: bool = True
 
     def __len__(self) -> int:
         return len(self.lines)
 
-    def __iter__(self) -> Iterator[GcodeLine]:
+    def __iter__(self) -> Iterator[tuple]:
         return iter(self.lines)
 
     @property
-    def layer_count(self) -> int:
-        return len(self.layer_marks)
-
-    def commands(self, *codes: str) -> Iterator[GcodeLine]:
-        """Iterate command lines, optionally restricted to the given codes."""
-        wanted = set(codes) or None
-        for line in self.lines:
-            if line.kind is LineKind.COMMAND and (wanted is None or line.code in wanted):
-                yield line
-
-    @staticmethod
-    def from_lines(
-        lines: Iterable[GcodeLine],
-        source_path: str | None = None,
-        final_newline: bool = True,
-    ) -> "GcodeDocument":
-        """Assemble a document from lines in order, recomputing its layer marks."""
-        lines = tuple(lines)
-        marks = []
-        for i, line in enumerate(lines):
-            layer = line.layer_number
-            if layer is not None:
-                marks.append((i, layer))
-        return GcodeDocument(
-            lines=lines,
-            layer_marks=tuple(marks),
-            source_path=source_path,
-            final_newline=final_newline,
-        )
+    def layer_marks(self) -> tuple[tuple[int, int], ...]:
+        """``(line index, layer)`` of each ``;LAYER:<n>`` mark, in order."""
+        return tuple((i, r[5]) for i, r in enumerate(self.lines) if r[5] is not None)
 
 
 def scan(data: bytes | str, source_path: str | None = None) -> Iterator[tuple]:
@@ -323,19 +198,12 @@ def scan(data: bytes | str, source_path: str | None = None) -> Iterator[tuple]:
 
 
 def parse_document(data: bytes | str, source_path: str | None = None) -> GcodeDocument:
-    """Parse a whole file into a document of ``GcodeLine`` objects.
+    """Scan a whole file into a document.
 
     Accepts what ``scan`` accepts and raises what it raises.
     """
-    lines = []
-    marks = []
-    for i, record in enumerate(scan(data, source_path)):
-        lines.append(_line_from_record(record))
-        if record[5] is not None:
-            marks.append((i, record[5]))
     return GcodeDocument(
-        lines=tuple(lines),
-        layer_marks=tuple(marks),
+        lines=tuple(scan(data, source_path)),
         source_path=source_path,
         final_newline=not data or data.endswith(b"\n" if isinstance(data, bytes) else "\n"),
     )
@@ -347,7 +215,7 @@ def serialize(doc: GcodeDocument) -> bytes:
     For a document straight out of ``parse_document`` this is the inverse of
     parsing, byte for byte. Rebuilt lines contribute their canonical text.
     """
-    body = "\n".join(line.raw_text for line in doc.lines)
+    body = "\n".join(record[0] for record in doc.lines)
     if doc.lines and doc.final_newline:
         body += "\n"
     return body.encode("ascii")
@@ -370,24 +238,19 @@ class PrinterState:
     e: float = 0.0
     extruded: float = 0.0
 
-    def apply(self, code: str | None, params: Iterable[tuple]) -> None:
-        """Apply one command given its code and parameters.
-
-        Each parameter is a sequence whose first two items are its letter
-        and number text: a scan ``(letter, text)`` pair or a ``Param``.
-        """
+    def apply(self, code: str | None, params: Iterable[tuple[str, str]]) -> None:
+        """Apply one command given its code and ``(letter, text)`` parameters."""
         if code not in ("G0", "G1", "G92"):
             return
-        for p in params:
-            letter = p[0]
+        for letter, text in params:
             if letter == "X":
-                self.x = float(p[1])
+                self.x = float(text)
             elif letter == "Y":
-                self.y = float(p[1])
+                self.y = float(text)
             elif letter == "Z":
-                self.z = float(p[1])
+                self.z = float(text)
             elif letter == "E":
-                e = float(p[1])
+                e = float(text)
                 if code == "G1":
                     self.extruded += max(0.0, e - self.e)
                 self.e = e
@@ -408,28 +271,14 @@ class PrintSummary:
     e_decimal_histogram: dict[int, int]
 
 
-def _records(doc: GcodeDocument) -> Iterator[tuple]:
-    """A document's lines as ``scan`` records."""
-    for line in doc.lines:
-        yield (
-            line.raw_text,
-            line.kind,
-            line.code,
-            tuple((p.letter, p.text) for p in line.params),
-            line.comment,
-            line.layer_number,
-        )
-
-
-def simulate(source: GcodeDocument | Iterable[tuple]) -> PrintSummary:
-    """Fold a document, or the records of ``scan``, into a ``PrintSummary``.
+def simulate(records: Iterable[tuple]) -> PrintSummary:
+    """Fold ``scan`` records, or a document of them, into a ``PrintSummary``.
 
     The registers advance through a fresh ``PrinterState``. Bounds cover
     only axis values named explicitly on G0/G1 moves; modal carry-over never
     widens them. The E-decimal histogram counts the textual decimal places
     of every E parameter on any command, G92 included.
     """
-    records = _records(source) if isinstance(source, GcodeDocument) else source
     state = PrinterState()
     counts: dict[str, int] = {}
     axes: dict[str, list[str]] = {"X": [], "Y": [], "Z": []}

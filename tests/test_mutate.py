@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from gcodeguard.gcode import parse_document, serialize, simulate
+from gcodeguard.gcode import count_decimals, parse_document, scan, serialize, simulate
 from gcodeguard.mutate import (
     STRATEGY_IDS,
     CompromisePlan,
@@ -99,7 +99,12 @@ class TestStrategyDefaults:
 
 
 def line_texts(doc) -> list[str]:
-    return [line.raw_text for line in doc.lines]
+    return [record[0] for record in doc.lines]
+
+
+def param(record, letter: str) -> str | None:
+    """The number text of ``letter`` on a scan record, or None."""
+    return dict(record[3]).get(letter)
 
 
 class TestApplyStrategy:
@@ -112,11 +117,11 @@ class TestApplyStrategy:
         for i in log.target_line_indices:
             original = doc.lines[i]
             converted = mutated.lines[i]
-            assert original.code == "G1" and original.param("E") is not None
-            assert converted.code == "G0"
-            assert converted.param("E") is None
-            assert converted.param("F") is None
-            assert converted.param("X").text == original.param("X").text
+            assert original[2] == "G1" and param(original, "E") is not None
+            assert converted[2] == "G0"
+            assert param(converted, "E") is None
+            assert param(converted, "F") is None
+            assert param(converted, "X") == param(original, "X")
 
     def test_id1_locality(self):
         doc = make_layered_doc()
@@ -134,8 +139,8 @@ class TestApplyStrategy:
         texts = line_texts(mutated)
         for i in log.target_line_indices:
             original = doc.lines[i]
-            blob_text = f"G1 E{format_minimal(original.param('E').value)}"
-            converted_at = texts.index(original.raw_text.replace("G1", "G0").rsplit(" E", 1)[0])
+            blob_text = f"G1 E{format_minimal(float(param(original, 'E')))}"
+            converted_at = texts.index(original[0].replace("G1", "G0").rsplit(" E", 1)[0])
             assert texts[converted_at + 1] == blob_text
 
     def test_id3_rewrites_all_in_range(self):
@@ -143,10 +148,10 @@ class TestApplyStrategy:
         mutated, log = apply_strategy(doc, Strategy.default("ID3"))
         # full100 range: every extruding move rewritten, deltas halved.
         assert log.lines_rewritten == 24
-        for line in mutated.commands("G1"):
-            p = line.param("E")
-            if p is not None:
-                assert p.decimals == 5
+        for record in mutated.lines:
+            e = param(record, "E")
+            if record[2] == "G1" and e is not None:
+                assert count_decimals(e) == 5
 
     def test_id3_halves_total_extrusion(self):
         doc = make_layered_doc(layers=6, moves=5, de=0.07)
@@ -162,8 +167,8 @@ class TestApplyStrategy:
         doc = make_layered_doc()
         mutated, log = apply_strategy(doc, Strategy.default("ID4"))
         for i in log.target_line_indices:
-            prev_e = doc.lines[i - 1].param("E").value
-            assert mutated.lines[i].param("E").text == format_minimal(prev_e)
+            prev_e = float(param(doc.lines[i - 1], "E"))
+            assert param(mutated.lines[i], "E") == format_minimal(prev_e)
 
     def test_id4_spec_formatting_case(self):
         text = (
@@ -177,15 +182,15 @@ class TestApplyStrategy:
         # Middle layers 1..2 hold five moves; the 4th ("E12.34560") is the
         # target and its E becomes the previous move's value, trimmed.
         (target,) = log.target_line_indices
-        assert doc.lines[target].param("E").text == "12.34560"
-        assert mutated.lines[target].param("E").text == "12.33"
+        assert param(doc.lines[target], "E") == "12.34560"
+        assert param(mutated.lines[target], "E") == "12.33"
 
     def test_id5_adds_tenth_of_milli(self):
         doc = make_layered_doc()
         mutated, log = apply_strategy(doc, Strategy.default("ID5"))
         for i in log.target_line_indices:
-            prev_e = doc.lines[i - 1].param("E").value
-            assert mutated.lines[i].param("E").value == pytest.approx(
+            prev_e = float(param(doc.lines[i - 1], "E"))
+            assert float(param(mutated.lines[i], "E")) == pytest.approx(
                 prev_e + 0.0001, abs=1e-12
             )
 
@@ -194,7 +199,7 @@ class TestApplyStrategy:
         mutated, log = apply_strategy(doc, Strategy.default("ID6"))
         assert log.lines_deleted == 3  # floor(12 / 4)
         assert len(mutated.lines) == len(doc.lines) - 3
-        deleted = {doc.lines[i].raw_text for i in log.target_line_indices}
+        deleted = {doc.lines[i][0] for i in log.target_line_indices}
         remaining = set(line_texts(mutated))
         assert deleted.isdisjoint(remaining)
 
@@ -224,10 +229,14 @@ class TestApplyStrategy:
         )
 
     def test_mutations_round_trip(self, tiny_doc):
+        # Rebuilt records feed simulate directly, so they must equal what a
+        # scan of the written file yields.
         for sid in STRATEGY_IDS:
-            mutated, _ = apply_strategy(tiny_doc, Strategy.default(sid))
-            data = serialize(mutated)
-            assert serialize(parse_document(data)) == data
+            for mode in RangeMode:
+                mutated, _ = apply_strategy(tiny_doc, Strategy(sid, mode))
+                data = serialize(mutated)
+                assert list(scan(data)) == list(mutated.lines)
+                assert serialize(parse_document(data)) == data
 
     def test_empty_range_raises(self):
         doc = doc_from("M82\n;LAYER:0\nG0 X1 Y1\n")
@@ -361,9 +370,10 @@ def test_register_moves_in_range(sid, mode):
     edits, (rewritten, deleted, inserted), mutated_final_e = REGISTER_MOVE_EDITS[sid, mode]
     mutated, log = apply_strategy(doc, Strategy(sid, mode))
     expected = []
-    for i, line in enumerate(doc.lines):
-        expected.extend(edits.get(i, [line.raw_text]))
+    for i, record in enumerate(doc.lines):
+        expected.extend(edits.get(i, [record[0]]))
     assert line_texts(mutated) == expected
+    assert list(scan(serialize(mutated))) == list(mutated.lines)
     assert log.to_json_dict() == {
         "strategy": sid,
         "range_mode": mode.value,
@@ -409,7 +419,7 @@ def test_property_line_count_deltas(layers, moves):
     in_range = sum(
         1
         for i in span
-        if doc.lines[i].code == "G1" and doc.lines[i].param("E") is not None
+        if doc.lines[i][2] == "G1" and param(doc.lines[i], "E") is not None
     )
     expected = in_range // 4
     assume(expected > 0)

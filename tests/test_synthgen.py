@@ -7,7 +7,7 @@ import json
 import pytest
 
 from gcodeguard import synthgen
-from gcodeguard.gcode import parse_document, serialize, simulate
+from gcodeguard.gcode import count_decimals, parse_document, serialize, simulate
 from gcodeguard.synthgen import (
     GENERATOR_VERSION,
     DatasetManifest,
@@ -22,7 +22,7 @@ from conftest import TINY_SPEC
 
 
 def g1_count(doc) -> int:
-    return sum(1 for _ in doc.commands("G1"))
+    return sum(1 for record in doc.lines if record[2] == "G1")
 
 
 class TestSpecValidation:
@@ -99,10 +99,10 @@ class TestBuildSpecimen:
         assert g1_count(a) == g1_count(b)
 
     def test_e_tokens_all_five_decimals(self, tiny_doc):
-        for line in tiny_doc.commands():
-            p = line.param("E")
-            if p is not None:
-                assert p.decimals == 5, f"{line.raw_text!r}"
+        for raw, _, _, params, _, _ in tiny_doc.lines:
+            for letter, text in params:
+                if letter == "E":
+                    assert count_decimals(text) == 5, f"{raw!r}"
 
     def test_simulates_with_positive_extrusion(self, tiny_doc):
         summary = simulate(tiny_doc)
@@ -120,7 +120,7 @@ class TestBuildSpecimen:
             assert center - limit <= lo <= hi <= center + limit
 
     def test_starts_with_preamble_and_absolute_mode(self, tiny_doc):
-        codes = [line.code for line in tiny_doc.commands()]
+        codes = [record[2] for record in tiny_doc.lines if record[2] is not None]
         assert "M82" in codes[:8]
         assert codes.index("G28") < codes.index("M82")
 
