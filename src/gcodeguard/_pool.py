@@ -9,12 +9,15 @@ the earliest failing item is the one raised.
 ``fn`` and every item must pickle: ``fn`` is a module-level function (or a
 ``functools.partial`` of one), and the workers re-import the program,
 including the caller's ``__main__`` module, so scripts that call this
-guard their entry point with ``if __name__ == "__main__"``.
+guard their entry point with ``if __name__ == "__main__"``. A ``__main__``
+that workers cannot re-import, such as a script piped into ``python -``,
+runs everything in the calling process.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
@@ -38,11 +41,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _main_reimportable() -> bool:
+    """Whether a ``spawn`` worker can re-import ``__main__``: by module name,
+    from its file, or not at all because it has no file (``python -c``).
+
+    A script read from standard input has ``__file__ == "<stdin>"``, which
+    a worker would try to run as a path and die on.
+    """
+    main = sys.modules["__main__"]
+    path = getattr(main, "__file__", None)
+    return getattr(main, "__spec__", None) is not None or path is None or os.path.isfile(path)
+
+
 def map_ordered(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     """``[fn(x) for x in items]``, spread over worker processes when it pays."""
     items = list(items)
     workers = min(_usable_cpus(), len(items) // FILES_PER_WORKER)
-    if workers < 2:
+    if workers < 2 or not _main_reimportable():
         return [fn(x) for x in items]
     # Imported here so that a run too small for workers, and every start-up,
     # pays nothing for them.

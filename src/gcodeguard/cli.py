@@ -28,7 +28,7 @@ from typing import Iterable
 
 from . import __version__
 from ._pool import map_ordered
-from .detectors import DETECTOR_NAMES, FlagSet, run_detectors
+from .detectors import DETECTOR_NAMES, FlagSet, check_detector_params, run_detectors
 from .evaluate import emit_report
 from .features import FeatureVector, build_matrix, extract, write_features_csv
 from .gcode import parse_document, scan, serialize
@@ -71,7 +71,7 @@ class ExperimentConfig:
         if sum(self.victims.values()) > self.count:
             raise ValueError("more victims than files")
         _check_detector_names(self.detectors)
-        _check_detector_params(self.detector_params)
+        check_detector_params(self.detector_params)
         if not isinstance(self.range_overrides, dict):
             raise ValueError(
                 f"range_overrides must be a JSON object, got {type(self.range_overrides).__name__}"
@@ -128,19 +128,6 @@ def _check_detector_names(names: Iterable[str]) -> None:
     for name in names:
         if name not in DETECTOR_NAMES:
             raise ValueError(f"unknown detector: {name!r}")
-
-
-def _check_detector_params(params: object) -> None:
-    """Overrides must map detector names to JSON objects of overrides."""
-    if not isinstance(params, dict):
-        raise ValueError(f"detector params must be a JSON object, got {type(params).__name__}")
-    _check_detector_names(params)
-    for name, overrides in params.items():
-        if not isinstance(overrides, dict):
-            raise ValueError(
-                f"{name}: parameter overrides must be a JSON object, "
-                f"got {type(overrides).__name__}"
-            )
 
 
 def stage_seed(master: int, label: str) -> int:
@@ -300,7 +287,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     params = {}
     if args.params:
         params = json.loads(Path(args.params).read_text())
-        _check_detector_params(params)
+        check_detector_params(params)
     flag_sets = detect_corpus(Path(args.src), Path(args.out), detectors, params)
     for fs in flag_sets:
         print(f"{fs.detector}: flagged {len(fs.flagged)}")

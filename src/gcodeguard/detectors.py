@@ -31,6 +31,7 @@ Tukey fences at 1.5 IQR.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -53,6 +54,7 @@ __all__ = [
     "cluster_dbscan",
     "knee_epsilon",
     "flags_from_clusters",
+    "check_detector_params",
     "run_detector",
     "run_detectors",
 ]
@@ -388,8 +390,10 @@ def cluster_meanshift(points: np.ndarray, bandwidth: float | None = None) -> np.
     converged positions within ``bandwidth / 2`` of each other collapse to
     one mode, scanned in point order. Copies of one point ascend together,
     so each distinct point ascends once and weighs in its neighbours' means
-    by its multiplicity. A bandwidth of zero, which the default gives when
-    at least about 30% of the point pairs coincide, is an error.
+    by its multiplicity. Modes meet as they climb; once they have met, each
+    step measures distances from the distinct modes only, and the collapse
+    scans each distinct mode once. A bandwidth of zero, which the default
+    gives when at least about 30% of the point pairs coincide, is an error.
     """
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) <= 1:
@@ -410,17 +414,22 @@ def cluster_meanshift(points: np.ndarray, bandwidth: float | None = None) -> np.
 
     modes = rows.copy()
     for _ in range(MEANSHIFT_MAX_ITER):
-        within = _sq_dists(modes, rows) <= bandwidth * bandwidth
+        # Modes that have met share one row of distances. The means stay one
+        # product over every mode: BLAS gives other bits on a subset of rows.
+        met, _, back = _distinct(modes)
+        within = (_sq_dists(met, rows) <= bandwidth * bandwidth)[back]
         new_modes = ((within * weight) @ rows) / (within @ weight)[:, None]
         shift = np.linalg.norm(new_modes - modes, axis=1)
         modes = new_modes
         if shift.max() < MEANSHIFT_TOL:
             break
 
+    # Copies of a mode always join the same center.
+    modes, _, back = _distinct(modes)
     centers: list[np.ndarray] = []
-    assignment = np.empty(len(rows), dtype=np.int64)
+    assignment = np.empty(len(modes), dtype=np.int64)
     half = bandwidth / 2.0
-    for i in range(len(rows)):
+    for i in range(len(modes)):
         for c, center in enumerate(centers):
             if np.linalg.norm(modes[i] - center) <= half:
                 assignment[i] = c
@@ -428,7 +437,7 @@ def cluster_meanshift(points: np.ndarray, bandwidth: float | None = None) -> np.
         else:
             centers.append(modes[i])
             assignment[i] = len(centers) - 1
-    return assignment[inverse]
+    return assignment[back][inverse]
 
 
 def knee_epsilon(matrix: np.ndarray, k: int = 4) -> float:
@@ -552,13 +561,15 @@ def flags_from_clusters(
     return mask, threshold
 
 
-DETECTOR_NAMES = (
-    "single_stat",
-    "combined_stat",
-    "pca_agglomerative",
-    "pca_meanshift",
-    "dbscan",
-)
+# Every override a detector takes, with the value it runs with otherwise.
+_DEFAULTS = {
+    "single_stat": {"threshold": Z_THRESHOLD},
+    "combined_stat": {"threshold": Z_THRESHOLD},
+    "pca_agglomerative": {"min_fraction": SMALL_CLUSTER_FRACTION},
+    "pca_meanshift": {"min_fraction": SMALL_CLUSTER_FRACTION, "bandwidth": None},
+    "dbscan": {"min_fraction": SMALL_CLUSTER_FRACTION, "eps": None, "min_samples": 5},
+}
+DETECTOR_NAMES = tuple(_DEFAULTS)
 
 
 def _cluster_scores(labels: np.ndarray) -> np.ndarray:
@@ -587,26 +598,62 @@ class _Projection:
         return self.pca.transform(self.z)
 
 
-def _reject_leftovers(name: str, params: dict) -> None:
-    """Raise on overrides the detector did not consume."""
-    if params:
-        keys = ", ".join(repr(k) for k in params)
+def _check_override(name: str, key: str, value: object) -> None:
+    """Raise unless ``value`` is in range for ``key`` (see ``check_detector_params``)."""
+    # Python numbers only, so the value echoed in FlagSet.parameters saves as JSON.
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if key == "min_samples":
+        ok, want = number and isinstance(value, int) and value >= 1, "an int >= 1"
+    elif key == "min_fraction":
+        ok, want = number and 0.0 <= value < 1.0, "a number in [0, 1)"
+    else:
+        ok, want = number and 0.0 < value < math.inf, "a finite number > 0"
+    if not ok:
+        raise ValueError(f"{name}: {key} must be {want}, got {value!r}")
+
+
+def _options(name: str, overrides: object) -> dict:
+    """The settings detector ``name`` runs with: its defaults, updated by
+    ``overrides``, which must pass ``check_detector_params``."""
+    if name not in _DEFAULTS:
+        raise ValueError(f"unknown detector: {name!r}")
+    if not isinstance(overrides, dict):
+        raise ValueError(
+            f"{name}: parameter overrides must be a JSON object, "
+            f"got {type(overrides).__name__}"
+        )
+    unknown = [key for key in overrides if key not in _DEFAULTS[name]]
+    if unknown:
+        keys = ", ".join(repr(k) for k in unknown)
         raise ValueError(f"{name}: unknown parameter override(s): {keys}")
+    for key, value in overrides.items():
+        _check_override(name, key, value)
+    return {**_DEFAULTS[name], **overrides}
+
+
+def check_detector_params(params: object) -> None:
+    """Raise ``ValueError`` unless ``params`` maps detector names to dicts of
+    overrides that detector takes, each in range: ``threshold``,
+    ``bandwidth`` and ``eps`` are finite numbers > 0, ``min_fraction`` is a
+    number in [0, 1) and ``min_samples`` an int >= 1. Numbers are Python
+    ints and floats (``np.float64`` is one), not bools; a key left out keeps
+    its default."""
+    if not isinstance(params, dict):
+        raise ValueError(f"detector params must be a JSON object, got {type(params).__name__}")
+    for name, overrides in params.items():
+        _options(name, overrides)
 
 
 def _detect(
     name: str, space: _Projection, params: dict | None
 ) -> tuple[FlagSet, np.ndarray | None]:
     """One detector's flag set, plus its cluster labels when it clusters."""
-    params = dict(params or {})
+    opts = _options(name, params or {})
     fm = space.fm
     if name in ("single_stat", "combined_stat"):
         stat = detect_single_stat if name == "single_stat" else detect_combined_stat
-        threshold = params.pop("threshold", Z_THRESHOLD)
-        _reject_leftovers(name, params)
-        return stat(fm, threshold), None
+        return stat(fm, opts["threshold"]), None
 
-    min_fraction = params.pop("min_fraction", SMALL_CLUSTER_FRACTION)
     if name in ("pca_agglomerative", "pca_meanshift"):
         parameters = {
             "space": "pca2 of standardized counts",
@@ -615,17 +662,14 @@ def _detect(
         if name == "pca_agglomerative":
             labels = cluster_agglomerative(space.pts)
         else:
-            bandwidth = params.pop("bandwidth", None)
+            bandwidth = opts["bandwidth"]
             labels = cluster_meanshift(space.pts, bandwidth=bandwidth)
             parameters["bandwidth"] = bandwidth if bandwidth is not None else "p30 pairwise"
-    elif name == "dbscan":
-        min_samples = params.pop("min_samples", 5)
-        labels, eps = cluster_dbscan(space.z, eps=params.pop("eps", None), min_samples=min_samples)
-        parameters = {"space": "standardized counts", "eps": eps, "min_samples": min_samples}
     else:
-        raise ValueError(f"unknown detector: {name!r}")
-    _reject_leftovers(name, params)
-    mask, threshold = flags_from_clusters(labels, min_fraction)
+        min_samples = opts["min_samples"]
+        labels, eps = cluster_dbscan(space.z, eps=opts["eps"], min_samples=min_samples)
+        parameters = {"space": "standardized counts", "eps": eps, "min_samples": min_samples}
+    mask, threshold = flags_from_clusters(labels, opts["min_fraction"])
     parameters.update(
         small_cluster_max=threshold,
         clusters=int(labels.max()) + 1 if len(labels) else 0,
@@ -639,7 +683,8 @@ def run_detector(name: str, fm: FeatureMatrix, params: dict | None = None) -> Fl
 
     Recognized overrides: ``threshold`` (stat detectors), ``bandwidth``
     (mean shift), ``eps`` and ``min_samples`` (dbscan), ``min_fraction``
-    (all clustering detectors). Any other key raises ``ValueError``.
+    (all clustering detectors). Any other key, and a value out of range
+    (see ``check_detector_params``), raises ``ValueError``.
     """
     return _detect(name, _Projection(fm), params)[0]
 

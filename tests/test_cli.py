@@ -309,6 +309,23 @@ class TestRunAll:
         }
 
 
+# Out-of-range overrides: a NaN bandwidth or eps would run the clustering on
+# NaN and flag clean files, a null threshold or fractional min_samples would
+# raise inside the detector.
+OUT_OF_RANGE_OVERRIDES = [
+    (
+        {"pca_meanshift": {"bandwidth": float("nan")}},
+        "pca_meanshift: bandwidth must be a finite number > 0, got nan",
+    ),
+    ({"dbscan": {"eps": float("nan")}}, "dbscan: eps must be a finite number > 0, got nan"),
+    (
+        {"single_stat": {"threshold": None}},
+        "single_stat: threshold must be a finite number > 0, got None",
+    ),
+    ({"dbscan": {"min_samples": 2.5}}, "dbscan: min_samples must be an int >= 1, got 2.5"),
+]
+
+
 class TestErrorPaths:
     def test_unknown_detector(self, tmp_path):
         assert main([
@@ -339,6 +356,7 @@ class TestErrorPaths:
         [
             ({"dbscan": 5}, "dbscan: parameter overrides must be a JSON object, got int"),
             ([], "detector params must be a JSON object, got list"),
+            *OUT_OF_RANGE_OVERRIDES,
         ],
     )
     def test_malformed_detector_params(self, params, message, tiny_corpus, tmp_path, capsys):
@@ -349,6 +367,16 @@ class TestErrorPaths:
         assert main([
             "detect", "--src", str(src), "--out", str(out), "--params", str(params_path),
         ]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params,message", OUT_OF_RANGE_OVERRIDES)
+    def test_out_of_range_detector_params_in_config(self, params, message, tmp_path, capsys):
+        # run-all refuses the config before it generates anything
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"preset": "d1", "detector_params": params}))
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 

@@ -524,6 +524,48 @@ class TestRunDetector:
             run_detector(name, jittered_fm, params)
         assert str(exc.value) == f"{name}: unknown parameter override(s): {leftover}"
 
+    @pytest.mark.parametrize(
+        "name,key,value",
+        [
+            ("single_stat", "threshold", None),
+            ("combined_stat", "threshold", float("inf")),
+            ("single_stat", "threshold", True),
+            ("single_stat", "threshold", 0),
+            ("single_stat", "threshold", "3.5"),
+            ("pca_meanshift", "bandwidth", float("nan")),
+            ("pca_meanshift", "bandwidth", -1.0),
+            ("dbscan", "eps", float("nan")),
+            ("dbscan", "eps", float("-inf")),
+            ("pca_agglomerative", "min_fraction", 1.0),
+            ("pca_meanshift", "min_fraction", float("nan")),
+            ("dbscan", "min_fraction", -0.01),
+            ("dbscan", "min_samples", 2.5),
+            ("dbscan", "min_samples", 5.0),
+            ("dbscan", "min_samples", 0),
+            ("dbscan", "min_samples", True),
+            # would pass, then fail to save as JSON in the flag set
+            ("dbscan", "min_samples", np.int64(5)),
+            ("single_stat", "threshold", np.float32(3.5)),
+        ],
+    )
+    def test_out_of_range_override_rejected(self, name, key, value, jittered_fm):
+        with pytest.raises(ValueError, match=f"^{name}: {key} must be "):
+            run_detector(name, jittered_fm, {key: value})
+        with pytest.raises(ValueError, match=f"^{name}: {key} must be "):
+            detectors.check_detector_params({name: {key: value}})
+
+    def test_in_range_overrides_accepted(self, jittered_fm):
+        params = {
+            "single_stat": {"threshold": 3},
+            "combined_stat": {"threshold": np.float64(3.5)},
+            "pca_agglomerative": {"min_fraction": 0},
+            "pca_meanshift": {"bandwidth": 2.0, "min_fraction": 0.5},
+            "dbscan": {"eps": 2.5, "min_samples": 1},
+        }
+        detectors.check_detector_params(params)
+        for name, overrides in params.items():
+            assert run_detector(name, jittered_fm, overrides).detector == name
+
     def test_dbscan_overrides_echoed(self, jittered_fm):
         flags = run_detector("dbscan", jittered_fm, {"eps": 2.5, "min_samples": 3})
         assert flags.parameters["eps"] == 2.5
@@ -747,3 +789,88 @@ def test_distances_are_taken_between_distinct_rows_only(monkeypatch):
         distinct = len(np.unique(arg, axis=0))
         assert distinct < len(arg) / 2
         assert shapes and max(max(s) for s in shapes) <= distinct
+
+
+def full_batch_meanshift(pts, bandwidth=None):
+    """(final modes, labels) of the weighted ascent that measures every mode
+    against every distinct row at every step and scans every mode when it
+    collapses them."""
+    rows, weight, inverse = detectors._distinct(pts)
+    if bandwidth is None:
+        bandwidth = detectors._pair_percentile(detectors._sq_dists(rows, rows), weight, 30)
+    modes = rows.copy()
+    for _ in range(detectors.MEANSHIFT_MAX_ITER):
+        within = broadcast_sq_dists(modes, rows) <= bandwidth * bandwidth
+        new_modes = ((within * weight) @ rows) / (within @ weight)[:, None]
+        shift = np.linalg.norm(new_modes - modes, axis=1)
+        modes = new_modes
+        if shift.max() < detectors.MEANSHIFT_TOL:
+            break
+    centers, labels = [], []
+    for mode in modes:
+        near = [
+            c for c, center in enumerate(centers)
+            if np.linalg.norm(mode - center) <= bandwidth / 2.0
+        ]
+        if not near:
+            centers.append(mode)
+        labels.append(near[0] if near else len(centers) - 1)
+    return modes, np.array(labels)[inverse]
+
+
+def meanshift_and_modes(pts, bandwidth=None):
+    """(final modes, labels) of ``cluster_meanshift``: its last ``_distinct``
+    call takes the final modes."""
+    seen = []
+    real = detectors._distinct
+
+    def recording(x):
+        seen.append(x.copy())
+        return real(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detectors, "_distinct", recording)
+        labels = cluster_meanshift(pts, bandwidth=bandwidth)
+    return seen[-1], labels
+
+
+@st.composite
+def blobs(draw):
+    """Points scattered around 2 to 5 centres, then sampled with repeats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([2, 11]))
+    sizes = draw(st.lists(st.integers(3, 40), min_size=2, max_size=5))
+    centres = rng.normal(scale=draw(st.floats(2.0, 20.0)), size=(len(sizes), dim))
+    pts = np.concatenate([c + rng.normal(size=(s, dim)) for c, s in zip(centres, sizes)])
+    return pts[rng.integers(0, len(pts), size=2 * len(pts))]
+
+
+class TestMeanshiftAscent:
+    """Modes that have met are measured once per step, with the same bits."""
+
+    @given(st.one_of(repeated_rows().map(lambda case: case[0]), blobs()))
+    def test_same_bits_as_the_full_batch_ascent(self, x):
+        modes, labels = meanshift_and_modes(x)
+        expected_modes, expected_labels = full_batch_meanshift(x)
+        assert np.array_equal(modes, expected_modes)
+        assert np.array_equal(labels, expected_labels)
+
+    def test_work_shrinks_with_the_distinct_modes(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        centres = np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]])
+        pts = np.concatenate([c + rng.normal(size=(100, 2)) for c in centres])
+        measured = []
+        real = detectors._sq_dists
+
+        def recording(a, b):
+            measured.append(len(a))
+            return real(a, b)
+
+        monkeypatch.setattr(detectors, "_sq_dists", recording)
+        cluster_meanshift(pts, bandwidth=2.0)
+        monkeypatch.undo()
+        modes, _ = full_batch_meanshift(pts, bandwidth=2.0)
+        steps, distinct = len(measured), len(pts)
+        assert measured[0] == distinct
+        assert measured[-1] == len(np.unique(modes, axis=0))
+        assert sum(measured) < steps * distinct / 2

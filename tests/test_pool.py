@@ -1,14 +1,21 @@
-"""The ordered process pool: input order, first error, no leftover workers."""
+"""The ordered process pool: input order, first error, no leftover workers,
+and scripts piped into ``python -`` that run in-process."""
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import gcodeguard
 from gcodeguard import _pool
+from gcodeguard.cli import main
 from gcodeguard.gcode import MalformedFileError
 
 # Enough items that map_ordered starts two workers where two CPUs are usable.
@@ -80,3 +87,31 @@ def test_too_few_items_run_in_process():
     items = list(range(2 * _pool.FILES_PER_WORKER - 1))
     outcome = bounded_map(pid_and_square, items)
     assert {pid for pid, _ in outcome["result"]} == {os.getpid()}
+
+
+def test_script_piped_into_python_runs_in_process(tmp_path, monkeypatch):
+    # A worker cannot re-import a __main__ read from stdin ("<stdin>" is no
+    # file), so a pool started from one would die; the map runs in-process.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"preset": "d1", "count": POOLED}))
+    script = (
+        "from gcodeguard.cli import main\n"
+        f"raise SystemExit(main(['generate', '--config', {str(config)!r}, '--out', 'piped']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(gcodeguard.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-"], input=script, text=True, capture_output=True,
+        cwd=tmp_path, env=env, timeout=WAIT_S,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
+    reference = tmp_path / "reference"
+    assert main(["generate", "--config", str(config), "--out", str(reference)]) == 0
+    piped = tmp_path / "piped"
+    names = sorted(p.name for p in reference.iterdir())
+    assert len(names) == POOLED + 1
+    assert sorted(p.name for p in piped.iterdir()) == names
+    for name in names:
+        assert (piped / name).read_bytes() == (reference / name).read_bytes()
