@@ -20,7 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -136,12 +136,23 @@ def stage_seed(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _whole(key: str, value: object) -> int:
+    """``int(value)``, refusing bools, strings and numbers with a fractional part."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"bad config value: {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     """Resolve preset/config-file/flag layers into one validated config."""
     if getattr(args, "config", None):
         data = json.loads(Path(args.config).read_text())
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+        known = {"preset", *(f.name for f in fields(ExperimentConfig))}
+        unknown = [key for key in data if key not in known]
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
         base = PRESETS[data.pop("preset")] if "preset" in data else None
         if base is not None:
             merged = base.to_json_dict()
@@ -150,10 +161,10 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         try:
             cfg = ExperimentConfig(
                 dataset_id=data["dataset_id"],
-                count=int(data["count"]),
+                count=_whole("count", data["count"]),
                 angular_step=float(data["angular_step"]),
-                victims={k: int(v) for k, v in data.get("victims", {}).items()},
-                seed=int(data.get("seed", 719)),
+                victims={k: _whole(f"victims {k}", v) for k, v in data.get("victims", {}).items()},
+                seed=_whole("seed", data.get("seed", 719)),
                 detectors=tuple(data.get("detectors", DETECTOR_NAMES)),
                 detector_params=data.get("detector_params", {}),
                 range_overrides=data.get("range_overrides", {}),

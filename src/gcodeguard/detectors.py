@@ -23,9 +23,11 @@ the number of files.
 ``run_detectors`` standardizes and projects a corpus once for all detectors
 and returns that projection and the Ward labels for ``pca_scatter.csv``.
 
-Modified z-scores follow the 0.6745 * (x - median) / MAD convention with
-threshold 3.5. When MAD degenerates to zero the detectors fall back to
-Tukey fences at 1.5 IQR.
+Each verdict rule lives in one function that returns the mask with the
+score it judged by. ``outliers`` is the stat detectors' rule: modified
+z-scores, 0.6745 * (x - median) / MAD, over threshold 3.5, falling back to
+Tukey fences at 1.5 IQR with score 0 when the MAD is zero.
+``flags_from_clusters`` is the clustering detectors' small-cluster rule.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ __all__ = [
     "DETECTOR_NAMES",
     "FlagSet",
     "modified_zscores",
-    "outlier_mask",
+    "outliers",
     "detect_single_stat",
     "detect_combined_stat",
     "PCAModel",
@@ -117,32 +119,30 @@ def modified_zscores(values: np.ndarray) -> np.ndarray | None:
     return Z_SCALE * (values - med) / mad
 
 
-def outlier_mask(values: np.ndarray, side: str, threshold: float = Z_THRESHOLD) -> np.ndarray:
-    """Boolean outlier mask on one value series.
+def outliers(
+    values: np.ndarray, side: str, threshold: float = Z_THRESHOLD
+) -> tuple[np.ndarray, np.ndarray]:
+    """The package's outlier rule on one value series: (mask, score).
 
-    ``side`` is ``"low"``, ``"high"`` or ``"both"``. Uses modified z-scores;
-    if the MAD is zero, falls back to 1.5 IQR Tukey fences (and flags
-    nothing when the IQR is zero as well, i.e. a near-constant series).
+    ``side`` is ``"low"``, ``"high"`` or ``"both"``, and the score is ``-z``,
+    ``z`` or ``|z|`` of the modified z-score ``z``; the mask is
+    ``score > threshold``. When the MAD is zero the score is 0 and the mask
+    comes from 1.5 IQR Tukey fences, which flag nothing when the IQR is zero
+    as well (a near-constant series).
     """
     values = np.asarray(values, dtype=np.float64)
     z = modified_zscores(values)
     if z is not None:
-        if side == "low":
-            return z < -threshold
-        if side == "high":
-            return z > threshold
-        return np.abs(z) > threshold
+        score = -z if side == "low" else z if side == "high" else np.abs(z)
+        return score > threshold, score
+    score = np.zeros(len(values))
     q1, q3 = np.percentile(values, [25, 75])
     iqr = q3 - q1
     if iqr == 0.0:
-        return np.zeros(len(values), dtype=bool)
+        return np.zeros(len(values), dtype=bool), score
     low = values < q1 - 1.5 * iqr
     high = values > q3 + 1.5 * iqr
-    if side == "low":
-        return low
-    if side == "high":
-        return high
-    return low | high
+    return (low if side == "low" else high if side == "high" else low | high), score
 
 
 def _flagset(name: str, parameters: dict, fm: FeatureMatrix, mask: np.ndarray,
@@ -158,10 +158,7 @@ def _flagset(name: str, parameters: dict, fm: FeatureMatrix, mask: np.ndarray,
 
 def detect_single_stat(fm: FeatureMatrix, threshold: float = Z_THRESHOLD) -> FlagSet:
     """Two-sided modified z-score test on the G1 count alone."""
-    g1 = fm.column("G1")
-    mask = outlier_mask(g1, "both", threshold)
-    z = modified_zscores(g1)
-    scores = np.abs(z) if z is not None else np.zeros(len(g1))
+    mask, scores = outliers(fm.column("G1"), "both", threshold)
     return _flagset(
         "single_stat",
         {"statistic": "G1 count", "threshold": threshold, "score": "abs modified z"},
@@ -178,22 +175,12 @@ def detect_combined_stat(fm: FeatureMatrix, threshold: float = Z_THRESHOLD) -> F
     sometimes G0 goes up) or rewrite E values with a different number of
     decimal places, so each branch is one-sided.
     """
-    g1 = fm.column("G1")
-    g0 = fm.column("G0")
+    g1_low, g1_score = outliers(fm.column("G1"), "low", threshold)
+    g0_high, g0_score = outliers(fm.column("G0"), "high", threshold)
     anomalies = fm.e_decimal_anomalies
-    mask = (
-        outlier_mask(g1, "low", threshold)
-        | outlier_mask(g0, "high", threshold)
-        | (anomalies > 0)
-    )
-    zg1 = modified_zscores(g1)
-    zg0 = modified_zscores(g0)
-    base = np.zeros(len(g1))
-    if zg1 is not None:
-        base = np.maximum(base, -zg1)
-    if zg0 is not None:
-        base = np.maximum(base, zg0)
-    scores = base + anomalies.astype(np.float64)
+    mask = g1_low | g0_high | (anomalies > 0)
+    scores = np.maximum(np.maximum(np.zeros(len(anomalies)), g1_score), g0_score)
+    scores += anomalies
     return _flagset(
         "combined_stat",
         {
@@ -409,8 +396,8 @@ def cluster_meanshift(points: np.ndarray, bandwidth: float | None = None) -> np.
                 f"bandwidth is zero: {coincident} of {n * (n - 1) // 2} point pairs"
                 " coincide, so the 30th percentile of pairwise distances is 0"
             )
-    if bandwidth <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    if not 0.0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
 
     modes = rows.copy()
     for _ in range(MEANSHIFT_MAX_ITER):
@@ -509,8 +496,8 @@ def cluster_dbscan(
     x = np.asarray(matrix, dtype=np.float64)
     if eps is None:
         eps = knee_epsilon(x, k=min_samples - 1)
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
 
     rows, weight, inverse = _distinct(x)
     within = _sq_dists(rows, rows) <= eps * eps
@@ -544,21 +531,19 @@ def cluster_dbscan(
 
 def flags_from_clusters(
     labels: np.ndarray, min_fraction: float = SMALL_CLUSTER_FRACTION
-) -> tuple[np.ndarray, float]:
-    """Suspicion mask from a clustering: noise plus tiny clusters.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The small-cluster rule: (mask, scores, threshold).
 
-    A cluster is tiny when its size is at most ``max(2, min_fraction * n)``.
-    Returns (mask, threshold).
+    A cluster is tiny when its size is at most ``max(2, min_fraction * n)``;
+    noise (label -1) and the members of tiny clusters are flagged. A point
+    scores 1 / the size of its cluster, and noise scores 1.
     """
     labels = np.asarray(labels)
-    n = len(labels)
-    threshold = max(2.0, min_fraction * n)
-    mask = np.zeros(n, dtype=bool)
-    for label in np.unique(labels):
-        members = labels == label
-        if label == -1 or members.sum() <= threshold:
-            mask |= members
-    return mask, threshold
+    threshold = max(2.0, min_fraction * len(labels))
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    size = counts[inverse]
+    noise = labels == -1
+    return noise | (size <= threshold), np.where(noise, 1.0, 1.0 / size), threshold
 
 
 # Every override a detector takes, with the value it runs with otherwise.
@@ -570,13 +555,6 @@ _DEFAULTS = {
     "dbscan": {"min_fraction": SMALL_CLUSTER_FRACTION, "eps": None, "min_samples": 5},
 }
 DETECTOR_NAMES = tuple(_DEFAULTS)
-
-
-def _cluster_scores(labels: np.ndarray) -> np.ndarray:
-    sizes = {label: int((labels == label).sum()) for label in np.unique(labels)}
-    return np.array(
-        [1.0 if lab == -1 else 1.0 / sizes[lab] for lab in labels], dtype=np.float64
-    )
 
 
 @dataclass(frozen=True)
@@ -669,13 +647,13 @@ def _detect(
         min_samples = opts["min_samples"]
         labels, eps = cluster_dbscan(space.z, eps=opts["eps"], min_samples=min_samples)
         parameters = {"space": "standardized counts", "eps": eps, "min_samples": min_samples}
-    mask, threshold = flags_from_clusters(labels, opts["min_fraction"])
+    mask, scores, threshold = flags_from_clusters(labels, opts["min_fraction"])
     parameters.update(
         small_cluster_max=threshold,
         clusters=int(labels.max()) + 1 if len(labels) else 0,
         score="1/cluster size (noise: 1)",
     )
-    return _flagset(name, parameters, fm, mask, _cluster_scores(labels)), labels
+    return _flagset(name, parameters, fm, mask, scores), labels
 
 
 def run_detector(name: str, fm: FeatureMatrix, params: dict | None = None) -> FlagSet:

@@ -117,6 +117,13 @@ class TestLoadConfig:
         assert cfg.angular_step == 1.0
         assert cfg.victims == {"ID1": 1}
 
+    def test_integral_numbers_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "d1", "count": 24.0, "victims": {"ID1": 1.0}}))
+        cfg = load_config(self.ns(config=str(path)))
+        assert (cfg.count, cfg.victims) == (24, {"ID1": 1})
+        assert type(cfg.count) is int and type(cfg.victims["ID1"]) is int
+
     def test_flag_overrides_win(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "d1"}))
@@ -326,6 +333,19 @@ OUT_OF_RANGE_OVERRIDES = [
 ]
 
 
+# Config values that int() would take but that are not what was meant.
+STRICT_CONFIGS = [
+    ({"preset": "d1", "count": 60.9}, "bad config value: count must be an integer, got 60.9"),
+    ({"preset": "d1", "seed": True}, "bad config value: seed must be an integer, got True"),
+    ({"preset": "d1", "count": "60"}, "bad config value: count must be an integer, got '60'"),
+    (
+        {"preset": "d1", "victims": {"ID1": 1.5}},
+        "bad config value: victims ID1 must be an integer, got 1.5",
+    ),
+    ({"preset": "d1", "victim": {"ID6": 1}}, "unknown config key(s): 'victim'"),
+]
+
+
 class TestErrorPaths:
     def test_unknown_detector(self, tmp_path):
         assert main([
@@ -419,6 +439,7 @@ class TestErrorPaths:
             ({"preset": "d1", "count": None}, "bad config value: int() argument"),
             ({"preset": "d1", "victims": {"ID1": [2]}}, "bad config value: int() argument"),
             ([{"preset": "d1"}], "config must be a JSON object, got list"),
+            *STRICT_CONFIGS,
         ],
     )
     def test_bad_config_type(self, config, message, tmp_path, capsys):
@@ -430,6 +451,15 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("config,message", STRICT_CONFIGS)
+    def test_strict_config_generates_nothing(self, config, message, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_missing_config_source(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "o")]) == 1

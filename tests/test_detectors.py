@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from gcodeguard.detectors import (
     flags_from_clusters,
     knee_epsilon,
     modified_zscores,
-    outlier_mask,
+    outliers,
     run_detector,
 )
 from gcodeguard.features import FeatureVector, build_matrix, standardize
@@ -140,21 +141,34 @@ class TestModifiedZscores:
 class TestOutlierMask:
     def test_sides(self):
         values = np.array([100.0, 99, 101, 100, 102, 98, 100, 99, 101, 100, 40])
-        assert outlier_mask(values, "low").tolist() == [False] * 10 + [True]
-        assert not outlier_mask(values, "high").any()
-        assert outlier_mask(values, "both").tolist() == [False] * 10 + [True]
+        assert outliers(values, "low")[0].tolist() == [False] * 10 + [True]
+        assert not outliers(values, "high")[0].any()
+        assert outliers(values, "both")[0].tolist() == [False] * 10 + [True]
 
     def test_tukey_fallback_when_mad_is_zero(self):
         # median 5 with MAD 0 but IQR 1.5: fences at 1.25 and 7.25
         values = np.array([1.0, 2, 3, 5, 5, 5, 5, 5, 5, 100])
-        assert outlier_mask(values, "both").tolist() == (
+        assert outliers(values, "both")[0].tolist() == (
             [True] + [False] * 8 + [True]
         )
-        assert outlier_mask(values, "high").tolist() == [False] * 9 + [True]
-        assert outlier_mask(values, "low").tolist() == [True] + [False] * 9
+        assert outliers(values, "high")[0].tolist() == [False] * 9 + [True]
+        assert outliers(values, "low")[0].tolist() == [True] + [False] * 9
 
     def test_constant_series_flags_nothing(self):
-        assert not outlier_mask(np.full(20, 7.0), "both").any()
+        assert not outliers(np.full(20, 7.0), "both")[0].any()
+
+    def test_score_is_the_sided_z(self):
+        values = np.array([1.0, 2.0, 3.0, 4.0, 100.0])
+        z = modified_zscores(values)
+        for side, score in [("low", -z), ("high", z), ("both", np.abs(z))]:
+            mask, got = outliers(values, side)
+            assert np.array_equal(got, score)
+            assert np.array_equal(mask, score > Z_THRESHOLD)
+
+    def test_score_is_zero_when_mad_is_zero(self):
+        values = np.array([1.0, 2, 3, 5, 5, 5, 5, 5, 5, 100])
+        for side in ("low", "high", "both"):
+            assert outliers(values, side)[1].tolist() == [0.0] * 10
 
     @given(
         st.lists(
@@ -166,8 +180,8 @@ class TestOutlierMask:
     def test_property_flags_respect_the_median(self, raw):
         values = np.array(raw)
         med = np.median(values)
-        assert np.all(values[outlier_mask(values, "low")] < med)
-        assert np.all(values[outlier_mask(values, "high")] > med)
+        assert np.all(values[outliers(values, "low")[0]] < med)
+        assert np.all(values[outliers(values, "high")[0]] > med)
 
 
 class TestStatDetectors:
@@ -326,6 +340,12 @@ class TestMeanshift:
         with pytest.raises(ValueError):
             cluster_meanshift(np.ones((5, 2)))
 
+    def test_rejects_nonpositive_bandwidth(self):
+        x = np.random.default_rng(3).normal(size=(12, 2))
+        for bandwidth in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"^bandwidth must be positive and finite, got"):
+                cluster_meanshift(x, bandwidth=bandwidth)
+
     def test_zero_bandwidth_message_counts_coincident_pairs(self):
         # 9 copies of one point and 1 other: 36 of the 45 pairs coincide, so
         # the 30th-percentile distance is 0 although the points differ
@@ -427,6 +447,10 @@ class TestDBSCAN:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             cluster_dbscan(np.zeros((10, 2)), eps=0.0)
+        x = np.random.default_rng(3).normal(size=(12, 2))
+        for eps in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"^eps must be positive and finite, got"):
+                cluster_dbscan(x, eps=eps)
 
     def test_deterministic(self):
         pts, _ = planted_disks(42)
@@ -462,7 +486,7 @@ class TestKneeEpsilon:
 class TestFlagsFromClusters:
     def test_small_cluster_threshold_is_inclusive(self):
         labels = np.array([0] * 290 + [1] * 3 + [-1] * 7)
-        mask, threshold = flags_from_clusters(labels)
+        mask, _, threshold = flags_from_clusters(labels)
         assert threshold == 3.0
         assert mask.sum() == 10
         assert mask[290:].all()
@@ -470,19 +494,112 @@ class TestFlagsFromClusters:
 
     def test_cluster_above_threshold_not_flagged(self):
         labels = np.array([0] * 296 + [1] * 4)
-        mask, _ = flags_from_clusters(labels)
+        mask, _, _ = flags_from_clusters(labels)
         assert not mask.any()
 
     def test_minimum_threshold_is_two(self):
         labels = np.array([0] * 8 + [1] * 2)
-        mask, threshold = flags_from_clusters(labels)
+        mask, _, threshold = flags_from_clusters(labels)
         assert threshold == 2.0
         assert mask.tolist() == [False] * 8 + [True] * 2
 
     def test_min_fraction_override(self):
         labels = np.array([0] * 90 + [1] * 10)
-        mask, _ = flags_from_clusters(labels, min_fraction=0.15)
+        mask, _, _ = flags_from_clusters(labels, min_fraction=0.15)
         assert mask.sum() == 10
+
+    def test_scores_are_inverse_cluster_sizes(self):
+        labels = np.array([2, 0, -1, 0, 2, 0, 1, -1])
+        _, scores, _ = flags_from_clusters(labels)
+        assert scores.tolist() == [1 / 2, 1 / 3, 1.0, 1 / 3, 1 / 2, 1 / 3, 1.0, 1.0]
+
+
+def plain_z(values):
+    """The modified z-score, or None when the MAD is zero."""
+    med = np.median(values)
+    mad = np.median(np.abs(values - med))
+    return None if mad == 0.0 else 0.6745 * (values - med) / mad
+
+
+def count_values(draw, n):
+    """n counts near 100, often tied so that the MAD can be zero, with strays."""
+    near = st.one_of(st.just(100), st.integers(98, 102), st.integers(0, 300))
+    return draw(st.lists(near, min_size=n, max_size=n))
+
+
+@st.composite
+def small_corpora(draw):
+    """A FeatureMatrix of 8 to 24 files with drawn G0 and G1 counts and some
+    files carrying off-mode E-decimal tokens."""
+    n = draw(st.integers(8, 24))
+    g1, g0 = count_values(draw, n), count_values(draw, n)
+    odd = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    histograms = [((5, g1[i] + 4),) + (((4, odd[i]),) if odd[i] else ()) for i in range(n)]
+    return make_fm(g1, g0_counts=g0, histograms=histograms)
+
+
+# Degenerate corpora with no default bandwidth or eps: ROADMAP item 1.
+DEGENERATE = r"^(bandwidth is zero|eps must be positive)"
+
+
+class TestScoresFollowTheFormulas:
+    @given(small_corpora())
+    def test_scores(self, fm):
+        calls, labels = [], {}
+        real_z = detectors.modified_zscores
+
+        def counting_z(values):
+            calls.append(len(values))
+            return real_z(values)
+
+        def keeping(name, run):
+            def wrapped(*args, **kwargs):
+                out = run(*args, **kwargs)
+                labels[name] = out[0] if isinstance(out, tuple) else out
+                return out
+            return wrapped
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detectors, "modified_zscores", counting_z)
+            single = detect_single_stat(fm)
+            assert len(calls) == 1
+            calls.clear()
+            combined = detect_combined_stat(fm)
+            assert len(calls) == 2
+            for name, func in [
+                ("pca_agglomerative", "cluster_agglomerative"),
+                ("pca_meanshift", "cluster_meanshift"),
+                ("dbscan", "cluster_dbscan"),
+            ]:
+                mp.setattr(detectors, func, keeping(name, getattr(detectors, func)))
+            clustered = {}
+            for name in ("pca_agglomerative", "pca_meanshift", "dbscan"):
+                try:
+                    clustered[name] = run_detector(name, fm)
+                except ValueError as exc:
+                    assert re.match(DEGENERATE, str(exc)), exc
+
+        def scores(flags):
+            return np.array([flags.scores[p] for p in fm.paths])
+
+        g1, g0 = fm.column("G1"), fm.column("G0")
+        z1, z0 = plain_z(g1), plain_z(g0)
+        expected = np.abs(z1) if z1 is not None else np.zeros(len(g1))
+        assert np.array_equal(scores(single), expected)
+
+        parts = [np.zeros(len(g1))]
+        parts += [-z1] if z1 is not None else []
+        parts += [z0] if z0 is not None else []
+        expected = np.max(parts, axis=0) + fm.e_decimal_anomalies
+        assert np.array_equal(scores(combined), expected)
+        # no -0.0 reaches the flag-set JSON
+        assert not np.signbit(scores(combined)).any()
+
+        for name, flags in clustered.items():
+            lab = labels[name]
+            sizes = np.array([np.sum(lab == label) for label in lab])
+            expected = np.where(lab == -1, 1.0, 1.0 / sizes)
+            assert np.array_equal(scores(flags), expected), name
 
 
 @pytest.fixture(scope="module")
@@ -850,6 +967,12 @@ class TestMeanshiftAscent:
 
     @given(st.one_of(repeated_rows().map(lambda case: case[0]), blobs()))
     def test_same_bits_as_the_full_batch_ascent(self, x):
+        rows, weight, _ = detectors._distinct(x)
+        if detectors._pair_percentile(broadcast_sq_dists(rows, rows), weight, 30) == 0.0:
+            # at least about 30% of the pairs coincide: no default bandwidth
+            with pytest.raises(ValueError, match=r"^bandwidth is zero"):
+                cluster_meanshift(x)
+            return
         modes, labels = meanshift_and_modes(x)
         expected_modes, expected_labels = full_batch_meanshift(x)
         assert np.array_equal(modes, expected_modes)
