@@ -6,7 +6,7 @@ Five subcommands mirror the experiment stages:
     compromise  copy a corpus, sabotaging chosen victims; write ground truth
     detect      extract features from a corpus and run detectors over it
     evaluate    score flag sets against ground truth into a report
-    run-all     all four stages into one run directory
+    run-all     the same four stage functions, into one run directory
 
 Stage randomness derives from one master seed: each stage hashes the seed
 with its own label, so rerunning any stage with the same configuration
@@ -24,11 +24,10 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Iterable
 
 from . import __version__
 from ._pool import map_ordered
-from .detectors import DETECTOR_NAMES, FlagSet, check_detector_params, run_detectors
+from .detectors import DETECTOR_NAMES, FlagSet, check_detectors, run_detectors
 from .evaluate import emit_report
 from .features import FeatureVector, build_matrix, extract, write_features_csv
 from .gcode import parse_document, scan, serialize
@@ -39,9 +38,10 @@ from .mutate import (
     RangeMode,
     Strategy,
     apply_strategy,
+    check_victims,
     plan_compromise,
 )
-from .synthgen import DatasetManifest, generate_dataset, preset_spec
+from .synthgen import DatasetManifest, check_sweep, generate_dataset, preset_spec
 
 __all__ = ["ExperimentConfig", "PRESETS", "main"]
 
@@ -61,17 +61,9 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         preset_spec(self.dataset_id)  # raises on unknown ids
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.angular_step <= 0:
-            raise ValueError(f"angular_step must be > 0, got {self.angular_step}")
-        for sid in self.victims:
-            if sid not in STRATEGY_IDS:
-                raise ValueError(f"unknown strategy in victims: {sid!r}")
-        if sum(self.victims.values()) > self.count:
-            raise ValueError("more victims than files")
-        _check_detector_names(self.detectors)
-        check_detector_params(self.detector_params)
+        check_sweep(self.count, self.angular_step)
+        check_victims(self.victims, self.count)
+        check_detectors(self.detectors, self.detector_params)
         if not isinstance(self.range_overrides, dict):
             raise ValueError(
                 f"range_overrides must be a JSON object, got {type(self.range_overrides).__name__}"
@@ -124,10 +116,8 @@ PRESETS: dict[str, ExperimentConfig] = {
 }
 
 
-def _check_detector_names(names: Iterable[str]) -> None:
-    for name in names:
-        if name not in DETECTOR_NAMES:
-            raise ValueError(f"unknown detector: {name!r}")
+# The subdirectories of a run directory, one per stage output.
+RUN_LAYOUT = ("original", "blind", "truth", "flags", "report")
 
 
 def stage_seed(master: int, label: str) -> int:
@@ -136,11 +126,15 @@ def stage_seed(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _whole(key: str, value: object) -> int:
-    """``int(value)``, refusing bools, strings and numbers with a fractional part."""
-    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"bad config value: {key} must be an integer, got {value!r}")
-    return int(value)
+def _number(key: str, value: object, kind: type = float) -> float:
+    """``kind(value)``, refusing bools, strings and, for ``int``, numbers
+    with a fractional part."""
+    if isinstance(value, (bool, str)) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"bad config value: {key} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -158,13 +152,14 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             merged = base.to_json_dict()
             merged.update(data)
             data = merged
+        victims = data.get("victims", {})
         try:
             cfg = ExperimentConfig(
                 dataset_id=data["dataset_id"],
-                count=_whole("count", data["count"]),
-                angular_step=float(data["angular_step"]),
-                victims={k: _whole(f"victims {k}", v) for k, v in data.get("victims", {}).items()},
-                seed=_whole("seed", data.get("seed", 719)),
+                count=_number("count", data["count"], int),
+                angular_step=_number("angular_step", data["angular_step"]),
+                victims={k: _number(f"victims {k}", v, int) for k, v in victims.items()},
+                seed=_number("seed", data.get("seed", 719), int),
                 detectors=tuple(data.get("detectors", DETECTOR_NAMES)),
                 detector_params=data.get("detector_params", {}),
                 range_overrides=data.get("range_overrides", {}),
@@ -184,31 +179,22 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    cfg = load_config(args)
-    out = Path(args.out)
-    manifest = generate_dataset(
-        preset_spec(cfg.dataset_id),
-        cfg.count,
-        cfg.angular_step,
-        out,
-        stage_seed(cfg.seed, "generate"),
-        cfg.dataset_id,
-    )
-    print(f"generated {len(manifest.entries)} files -> {out}")
-    return 0
+def generate_corpus(cfg: ExperimentConfig, out: Path) -> DatasetManifest:
+    """The generate stage: ``cfg``'s rotation sweep under its generate seed."""
+    seed = stage_seed(cfg.seed, "generate")
+    spec = preset_spec(cfg.dataset_id)
+    return generate_dataset(spec, cfg.count, cfg.angular_step, out, seed, cfg.dataset_id)
 
 
-def cmd_compromise(args: argparse.Namespace) -> int:
-    cfg = load_config(args)
-    src = Path(args.src)
-    out = Path(args.out)
-    truth_dir = Path(args.truth)
+def compromise_corpus(
+    cfg: ExperimentConfig, src: Path, out: Path, truth_dir: Path
+) -> tuple[DatasetManifest, CompromisePlan]:
+    """The compromise stage: plan ``cfg``'s victims over the corpus in
+    ``src`` under its compromise seed and write the blind copy. Returns the
+    corpus manifest and the ground truth written."""
     manifest = DatasetManifest.load(src / "manifest.json")
     plan = plan_compromise(manifest, cfg.victims, stage_seed(cfg.seed, "compromise"))
-    write_compromised(src, out, truth_dir, manifest, plan, cfg)
-    print(f"compromised {len(plan.victims)} of {len(manifest.entries)} files -> {out}")
-    return 0
+    return manifest, write_compromised(src, out, truth_dir, manifest, plan, cfg)
 
 
 def write_compromised(
@@ -218,8 +204,12 @@ def write_compromised(
     manifest: DatasetManifest,
     plan: CompromisePlan,
     cfg: ExperimentConfig,
-) -> None:
-    """Copy a corpus, mutating the planned victims; write truth and logs."""
+) -> CompromisePlan:
+    """Copy a corpus, mutating the planned victims; write truth and logs.
+
+    Returns the truth written to ``truth.json``: the plan without the
+    victims that their strategy could not touch.
+    """
     out.mkdir(parents=True, exist_ok=True)
     logs_dir = truth_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)
@@ -247,15 +237,11 @@ def write_compromised(
             json.dumps(log_data, indent=2, sort_keys=True) + "\n"
         )
     manifest.save(out / "manifest.json")
-    if skipped:
-        plan = CompromisePlan(
-            dataset_id=plan.dataset_id,
-            seed=plan.seed,
-            victims=tuple(v for v in plan.victims if v.path not in skipped),
-        )
+    truth = replace(plan, victims=tuple(v for v in plan.victims if v.path not in skipped))
     (truth_dir / "truth.json").write_text(
-        json.dumps(plan.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(truth.to_json_dict(), indent=2, sort_keys=True) + "\n"
     )
+    return truth
 
 
 def _file_features(src: Path, name: str) -> FeatureVector:
@@ -268,13 +254,15 @@ def detect_corpus(
 ) -> list[FlagSet]:
     """Feature pass plus every requested detector; writes flag sets and CSVs.
 
-    Each file's features are folded straight off its ``scan`` records, one
+    Detector names and overrides are checked before any file is read. Each
+    file's features are folded straight off its ``scan`` records, one
     file at a time per usable CPU: no document is built, and memory does not
     grow with the corpus. When files fail, the first in sorted order names
     the error.
     Nothing is written until every detector has returned, so a detector
     that fails leaves no partial output behind.
     """
+    check_detectors(detectors, detector_params)
     paths = sorted(p.name for p in src.glob("*.gcode"))
     if not paths:
         raise ValueError(f"no .gcode files under {src}")
@@ -292,17 +280,15 @@ def detect_corpus(
     return flag_sets
 
 
-def cmd_detect(args: argparse.Namespace) -> int:
-    detectors = tuple(args.detectors.split(",")) if args.detectors else DETECTOR_NAMES
-    _check_detector_names(detectors)
-    params = {}
-    if args.params:
-        params = json.loads(Path(args.params).read_text())
-        check_detector_params(params)
-    flag_sets = detect_corpus(Path(args.src), Path(args.out), detectors, params)
-    for fs in flag_sets:
-        print(f"{fs.detector}: flagged {len(fs.flagged)}")
-    return 0
+def evaluate_flags(
+    flag_sets: list[FlagSet], truth: CompromisePlan, manifest: DatasetManifest, out: Path
+) -> dict:
+    """The evaluate stage: score flag sets, in ``DETECTOR_NAMES`` order and
+    then any other names sorted, into ``report.csv`` and ``report.json``."""
+    rank = {name: i for i, name in enumerate(DETECTOR_NAMES)}
+    ordered = sorted(flag_sets, key=lambda fs: (rank.get(fs.detector, len(rank)), fs.detector))
+    all_paths = tuple(entry.path for entry in manifest.entries)
+    return emit_report(ordered, truth, all_paths, out)
 
 
 def _print_confusions(report: dict) -> None:
@@ -311,72 +297,63 @@ def _print_confusions(report: dict) -> None:
         print(f"{name}: TP={cm['tp']} FP={cm['fp']} TN={cm['tn']} FN={cm['fn']}")
 
 
+def cmd_generate(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    manifest = generate_corpus(load_config(args), out)
+    print(f"generated {len(manifest.entries)} files -> {out}")
+    return 0
+
+
+def cmd_compromise(args: argparse.Namespace) -> int:
+    cfg = load_config(args)
+    out = Path(args.out)
+    manifest, _ = compromise_corpus(cfg, Path(args.src), out, Path(args.truth))
+    print(f"compromised {sum(cfg.victims.values())} of {len(manifest.entries)} files -> {out}")
+    return 0
+
+
+def cmd_detect(args: argparse.Namespace) -> int:
+    detectors = tuple(args.detectors.split(",")) if args.detectors else DETECTOR_NAMES
+    params = json.loads(Path(args.params).read_text()) if args.params else {}
+    for fs in detect_corpus(Path(args.src), Path(args.out), detectors, params):
+        print(f"{fs.detector}: flagged {len(fs.flagged)}")
+    return 0
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     flags_dir = Path(args.flags)
-    flag_sets = [
-        FlagSet.load(p)
-        for p in sorted(flags_dir.glob("*.json"))
-    ]
+    flag_sets = [FlagSet.load(p) for p in sorted(flags_dir.glob("*.json"))]
     if not flag_sets:
         raise ValueError(f"no flag sets under {flags_dir}")
     truth = CompromisePlan.from_json_dict(json.loads(Path(args.truth).read_text()))
     manifest = DatasetManifest.load(args.manifest)
-    all_paths = tuple(entry.path for entry in manifest.entries)
-    _print_confusions(emit_report(flag_sets, truth, all_paths, Path(args.out)))
+    _print_confusions(evaluate_flags(flag_sets, truth, manifest, Path(args.out)))
     return 0
 
 
 def cmd_run_all(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     out = Path(args.out)
-    seeds = {
-        "generate": stage_seed(cfg.seed, "generate"),
-        "compromise": stage_seed(cfg.seed, "compromise"),
-    }
+    seeds = {label: stage_seed(cfg.seed, label) for label in ("generate", "compromise")}
+    dirs = [out / name for name in RUN_LAYOUT]
     if args.dry_run:
-        plan = {
-            "config": cfg.to_json_dict(),
-            "stage_seeds": seeds,
-            "layout": {
-                "original": str(out / "original"),
-                "blind": str(out / "blind"),
-                "truth": str(out / "truth"),
-                "flags": str(out / "flags"),
-                "report": str(out / "report"),
-            },
-        }
+        layout = {name: str(path) for name, path in zip(RUN_LAYOUT, dirs)}
+        plan = {"config": cfg.to_json_dict(), "stage_seeds": seeds, "layout": layout}
         print(json.dumps(plan, indent=2, sort_keys=True))
         return 0
 
-    original = out / "original"
-    blind = out / "blind"
-    truth_dir = out / "truth"
-    flags_dir = out / "flags"
-    report_dir = out / "report"
-
-    manifest = generate_dataset(
-        preset_spec(cfg.dataset_id),
-        cfg.count,
-        cfg.angular_step,
-        original,
-        seeds["generate"],
-        cfg.dataset_id,
-    )
-    plan = plan_compromise(manifest, cfg.victims, seeds["compromise"])
-    write_compromised(original, blind, truth_dir, manifest, plan, cfg)
+    original, blind, truth_dir, flags_dir, report_dir = dirs
+    generate_corpus(cfg, original)
+    manifest, truth = compromise_corpus(cfg, original, blind, truth_dir)
     flag_sets = detect_corpus(blind, flags_dir, cfg.detectors, cfg.detector_params)
-    all_paths = tuple(entry.path for entry in manifest.entries)
-    report = emit_report(flag_sets, plan, all_paths, report_dir)
-
+    report = evaluate_flags(flag_sets, truth, manifest, report_dir)
     metadata = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "package_version": __version__,
         "config": cfg.to_json_dict(),
         "stage_seeds": seeds,
     }
-    (out / "run_metadata.json").write_text(
-        json.dumps(metadata, indent=2, sort_keys=True) + "\n"
-    )
+    (out / "run_metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
     _print_confusions(report)
     print(f"run complete -> {out}")
     return 0

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -56,7 +57,7 @@ __all__ = [
     "cluster_dbscan",
     "knee_epsilon",
     "flags_from_clusters",
-    "check_detector_params",
+    "check_detectors",
     "run_detector",
     "run_detectors",
 ]
@@ -380,13 +381,13 @@ def cluster_meanshift(points: np.ndarray, bandwidth: float | None = None) -> np.
     by its multiplicity. Modes meet as they climb; once they have met, each
     step measures distances from the distinct modes only, and the collapse
     scans each distinct mode once. A bandwidth of zero, which the default
-    gives when at least about 30% of the point pairs coincide, is an error.
+    gives when at least about 30% of the point pairs coincide, is an error,
+    and so is an explicit one that is not finite and > 0, however few the
+    points.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if len(pts) <= 1:
-        return np.zeros(len(pts), dtype=np.int64)
     rows, weight, inverse = _distinct(pts)
-    if bandwidth is None:
+    if bandwidth is None and len(pts) > 1:
         sq = _sq_dists(rows, rows)
         bandwidth = _pair_percentile(sq, weight, 30)
         if bandwidth <= 0.0:
@@ -396,8 +397,10 @@ def cluster_meanshift(points: np.ndarray, bandwidth: float | None = None) -> np.
                 f"bandwidth is zero: {coincident} of {n * (n - 1) // 2} point pairs"
                 " coincide, so the 30th percentile of pairwise distances is 0"
             )
-    if not 0.0 < bandwidth < math.inf:
+    if bandwidth is not None and not 0.0 < bandwidth < math.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+    if len(pts) <= 1:
+        return np.zeros(len(pts), dtype=np.int64)
 
     modes = rows.copy()
     for _ in range(MEANSHIFT_MAX_ITER):
@@ -577,7 +580,7 @@ class _Projection:
 
 
 def _check_override(name: str, key: str, value: object) -> None:
-    """Raise unless ``value`` is in range for ``key`` (see ``check_detector_params``)."""
+    """Raise unless ``value`` is in range for ``key`` (see ``check_detectors``)."""
     # Python numbers only, so the value echoed in FlagSet.parameters saves as JSON.
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if key == "min_samples":
@@ -592,7 +595,7 @@ def _check_override(name: str, key: str, value: object) -> None:
 
 def _options(name: str, overrides: object) -> dict:
     """The settings detector ``name`` runs with: its defaults, updated by
-    ``overrides``, which must pass ``check_detector_params``."""
+    ``overrides``, which must pass ``check_detectors``."""
     if name not in _DEFAULTS:
         raise ValueError(f"unknown detector: {name!r}")
     if not isinstance(overrides, dict):
@@ -609,13 +612,15 @@ def _options(name: str, overrides: object) -> dict:
     return {**_DEFAULTS[name], **overrides}
 
 
-def check_detector_params(params: object) -> None:
-    """Raise ``ValueError`` unless ``params`` maps detector names to dicts of
-    overrides that detector takes, each in range: ``threshold``,
-    ``bandwidth`` and ``eps`` are finite numbers > 0, ``min_fraction`` is a
-    number in [0, 1) and ``min_samples`` an int >= 1. Numbers are Python
-    ints and floats (``np.float64`` is one), not bools; a key left out keeps
-    its default."""
+def check_detectors(names: Iterable[str], params: object) -> None:
+    """Raise ``ValueError`` unless every name in ``names`` is a detector and
+    ``params`` maps detector names to dicts of overrides that detector
+    takes, each in range: ``threshold``, ``bandwidth`` and ``eps`` are
+    finite numbers > 0, ``min_fraction`` is a number in [0, 1) and
+    ``min_samples`` an int >= 1. Numbers are Python ints and floats
+    (``np.float64`` is one), not bools; a key left out keeps its default."""
+    for name in names:
+        _options(name, {})
     if not isinstance(params, dict):
         raise ValueError(f"detector params must be a JSON object, got {type(params).__name__}")
     for name, overrides in params.items():
@@ -662,7 +667,7 @@ def run_detector(name: str, fm: FeatureMatrix, params: dict | None = None) -> Fl
     Recognized overrides: ``threshold`` (stat detectors), ``bandwidth``
     (mean shift), ``eps`` and ``min_samples`` (dbscan), ``min_fraction``
     (all clustering detectors). Any other key, and a value out of range
-    (see ``check_detector_params``), raises ``ValueError``.
+    (see ``check_detectors``), raises ``ValueError``.
     """
     return _detect(name, _Projection(fm), params)[0]
 

@@ -41,6 +41,7 @@ __all__ = [
     "CompromisePlan",
     "select_range",
     "apply_strategy",
+    "check_victims",
     "plan_compromise",
     "format_minimal",
 ]
@@ -260,26 +261,31 @@ class CompromisePlan:
         )
 
 
+def check_victims(counts: Mapping[str, int], file_count: int) -> None:
+    """Raise ``ValueError`` unless ``counts`` maps known strategy ids to
+    counts >= 0 that add up to at most ``file_count``."""
+    for sid, n in counts.items():
+        if sid not in STRATEGY_IDS:
+            raise ValueError(f"unknown strategy in victims: {sid!r}")
+        if n < 0:
+            raise ValueError(f"negative count for {sid}: {n}")
+    total = sum(counts.values())
+    if total > file_count:
+        raise ValueError(f"cannot compromise {total} of {file_count} files")
+
+
 def plan_compromise(
     manifest: DatasetManifest, counts: Mapping[str, int], seed: int
 ) -> CompromisePlan:
     """Draw victims without replacement and assign strategies.
 
-    ``counts`` maps strategy ids to how many files each one gets. The draw
-    order is deterministic in ``seed``; a file receives at most one strategy.
+    ``counts`` maps strategy ids to how many files each one gets and must
+    pass ``check_victims``. The draw order is deterministic in ``seed``; a
+    file receives at most one strategy.
     """
-    for sid, n in counts.items():
-        if sid not in STRATEGY_IDS:
-            raise ValueError(f"unknown strategy id: {sid!r}")
-        if n < 0:
-            raise ValueError(f"negative count for {sid}: {n}")
-    total = sum(counts.values())
-    if total > len(manifest.entries):
-        raise ValueError(
-            f"cannot compromise {total} of {len(manifest.entries)} files"
-        )
+    check_victims(counts, len(manifest.entries))
     rng = random.Random(seed)
-    drawn = rng.sample([entry.path for entry in manifest.entries], total)
+    drawn = rng.sample([entry.path for entry in manifest.entries], sum(counts.values()))
     victims = []
     cursor = 0
     for sid in STRATEGY_IDS:

@@ -33,6 +33,7 @@ __all__ = [
     "DatasetManifest",
     "preset_spec",
     "build_specimen",
+    "check_sweep",
     "generate_dataset",
     "GENERATOR_VERSION",
 ]
@@ -406,6 +407,14 @@ def _write_specimen(spec: SpecimenSpec, out_dir: Path, entry: ManifestEntry) -> 
     (out_dir / entry.path).write_bytes(text.encode("ascii"))
 
 
+def check_sweep(count: int, angular_step: float) -> None:
+    """Raise ``ValueError`` unless ``count >= 1`` and ``0 < angular_step < inf``."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if not 0.0 < angular_step < math.inf:
+        raise ValueError(f"angular_step must be a finite number > 0, got {angular_step}")
+
+
 def generate_dataset(
     spec: SpecimenSpec,
     count: int,
@@ -421,10 +430,7 @@ def generate_dataset(
     Per-file seeds derive from ``seed`` through one ``random.Random`` stream,
     so a dataset is reproducible from the manifest alone.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if angular_step <= 0:
-        raise ValueError(f"angular_step must be > 0, got {angular_step}")
+    check_sweep(count, angular_step)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)

@@ -72,6 +72,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             self.base(angular_step=0.0).validate()
         with pytest.raises(ValueError):
+            self.base(angular_step=float("nan")).validate()
+        with pytest.raises(ValueError):
+            self.base(victims={"ID1": -1}).validate()
+        with pytest.raises(ValueError):
             self.base(victims={"ID9": 1}).validate()
         with pytest.raises(ValueError):
             self.base(victims={"ID1": 11}).validate()
@@ -315,6 +319,25 @@ class TestRunAll:
             "pca_meanshift", "dbscan",
         }
 
+    def test_same_bytes_as_the_four_subcommands(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY_CLI_CONFIG))
+        cfg, steps = str(cfg_path), tmp_path / "steps"
+        original, blind, truth, flags = (str(steps / n) for n in cli.RUN_LAYOUT[:4])
+        assert main(["generate", "--config", cfg, "--out", original]) == 0
+        assert main([
+            "compromise", "--config", cfg, "--src", original, "--out", blind, "--truth", truth,
+        ]) == 0
+        assert main(["detect", "--src", blind, "--out", flags]) == 0
+        assert main([
+            "evaluate", "--flags", flags, "--truth", f"{truth}/truth.json",
+            "--manifest", f"{blind}/manifest.json", "--out", str(steps / "report"),
+        ]) == 0
+        run = tmp_path / "run"
+        assert main(["run-all", "--config", cfg, "--out", str(run)]) == 0
+        run_tree = {k: v for k, v in tree_bytes(run).items() if k.name != "run_metadata.json"}
+        assert tree_bytes(steps) == run_tree
+
 
 # Out-of-range overrides: a NaN bandwidth or eps would run the clustering on
 # NaN and flag clean files, a null threshold or fractional min_samples would
@@ -343,6 +366,23 @@ STRICT_CONFIGS = [
         "bad config value: victims ID1 must be an integer, got 1.5",
     ),
     ({"preset": "d1", "victim": {"ID6": 1}}, "unknown config key(s): 'victim'"),
+    ({"preset": "d1", "victims": {"ID1": -1}}, "negative count for ID1: -1"),
+    (
+        {"preset": "d1", "angular_step": float("nan")},
+        "angular_step must be a finite number > 0, got nan",
+    ),
+    (
+        {"preset": "d1", "angular_step": float("inf")},
+        "angular_step must be a finite number > 0, got inf",
+    ),
+    (
+        {"preset": "d1", "angular_step": True},
+        "bad config value: angular_step must be a number, got True",
+    ),
+    (
+        {"preset": "d1", "angular_step": "2"},
+        "bad config value: angular_step must be a number, got '2'",
+    ),
 ]
 
 

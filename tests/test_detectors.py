@@ -342,9 +342,13 @@ class TestMeanshift:
 
     def test_rejects_nonpositive_bandwidth(self):
         x = np.random.default_rng(3).normal(size=(12, 2))
-        for bandwidth in (0.0, -1.0, float("nan"), float("inf")):
+        for pts, bandwidth in [
+            *((x, bw) for bw in (0.0, -1.0, float("nan"), float("inf"))),
+            (x[:1], float("nan")),
+            (x[:0], -1.0),
+        ]:
             with pytest.raises(ValueError, match=r"^bandwidth must be positive and finite, got"):
-                cluster_meanshift(x, bandwidth=bandwidth)
+                cluster_meanshift(pts, bandwidth=bandwidth)
 
     def test_zero_bandwidth_message_counts_coincident_pairs(self):
         # 9 copies of one point and 1 other: 36 of the 45 pairs coincide, so
@@ -669,7 +673,7 @@ class TestRunDetector:
         with pytest.raises(ValueError, match=f"^{name}: {key} must be "):
             run_detector(name, jittered_fm, {key: value})
         with pytest.raises(ValueError, match=f"^{name}: {key} must be "):
-            detectors.check_detector_params({name: {key: value}})
+            detectors.check_detectors((), {name: {key: value}})
 
     def test_in_range_overrides_accepted(self, jittered_fm):
         params = {
@@ -679,7 +683,7 @@ class TestRunDetector:
             "pca_meanshift": {"bandwidth": 2.0, "min_fraction": 0.5},
             "dbscan": {"eps": 2.5, "min_samples": 1},
         }
-        detectors.check_detector_params(params)
+        detectors.check_detectors((), params)
         for name, overrides in params.items():
             assert run_detector(name, jittered_fm, overrides).detector == name
 

@@ -471,6 +471,10 @@ class TestPlanCompromise:
         with pytest.raises(ValueError):
             plan_compromise(tiny_manifest(), {"ID9": 1}, seed=1)
 
+    def test_negative_count(self):
+        with pytest.raises(ValueError, match="^negative count for ID1: -1$"):
+            plan_compromise(tiny_manifest(), {"ID1": -1, "ID2": 2}, seed=1)
+
     def test_json_round_trip(self):
         plan = plan_compromise(tiny_manifest(), {"ID1": 2, "ID3": 1}, seed=2)
         again = CompromisePlan.from_json_dict(plan.to_json_dict())

@@ -170,6 +170,13 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             generate_dataset(TINY_SPEC, 0, 1.0, tmp_path, seed=3, dataset_id="T")
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_step_rejected_before_writing(self, step, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="^angular_step must be a finite number > 0, got"):
+            generate_dataset(TINY_SPEC, 3, step, out, seed=3, dataset_id="T")
+        assert not out.exists()
+
     def test_files_parse_and_round_trip(self, tiny_corpus):
         out, manifest = tiny_corpus
         for entry in manifest.entries:
