@@ -20,12 +20,13 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
 from . import __version__
+from ._json import dumps, read_record, write_json
 from ._pool import map_ordered
 from .detectors import DETECTOR_NAMES, FlagSet, check_detectors, run_detectors
 from .evaluate import emit_report
@@ -77,18 +78,6 @@ class ExperimentConfig:
         if sid in self.range_overrides:
             return Strategy(sid, RangeMode(self.range_overrides[sid]))
         return Strategy.default(sid)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dataset_id": self.dataset_id,
-            "count": self.count,
-            "angular_step": self.angular_step,
-            "victims": dict(sorted(self.victims.items())),
-            "seed": self.seed,
-            "detectors": list(self.detectors),
-            "detector_params": self.detector_params,
-            "range_overrides": dict(sorted(self.range_overrides.items())),
-        }
 
 
 PRESETS: dict[str, ExperimentConfig] = {
@@ -149,10 +138,15 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
         base = PRESETS[data.pop("preset")] if "preset" in data else None
         if base is not None:
-            merged = base.to_json_dict()
+            merged = asdict(base)
             merged.update(data)
             data = merged
         victims = data.get("victims", {})
+        detectors = data.get("detectors", DETECTOR_NAMES)
+        if isinstance(detectors, str):
+            raise ValueError(
+                f"bad config value: detectors must be a non-empty list of names, got {detectors!r}"
+            )
         try:
             cfg = ExperimentConfig(
                 dataset_id=data["dataset_id"],
@@ -160,7 +154,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
                 angular_step=_number("angular_step", data["angular_step"]),
                 victims={k: _number(f"victims {k}", v, int) for k, v in victims.items()},
                 seed=_number("seed", data.get("seed", 719), int),
-                detectors=tuple(data.get("detectors", DETECTOR_NAMES)),
+                detectors=tuple(detectors),
                 detector_params=data.get("detector_params", {}),
                 range_overrides=data.get("range_overrides", {}),
             )
@@ -213,7 +207,7 @@ def write_compromised(
     out.mkdir(parents=True, exist_ok=True)
     logs_dir = truth_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)
-    assigned = {v.path: v.strategy_id for v in plan.victims}
+    assigned = {v.path: v.strategy for v in plan.victims}
     skipped: set[str] = set()
     for entry in manifest.entries:
         data = (src / entry.path).read_bytes()
@@ -232,15 +226,10 @@ def write_compromised(
             (out / entry.path).write_bytes(data)
             continue
         (out / entry.path).write_bytes(serialize(mutated))
-        log_data = {"path": entry.path, **log.to_json_dict()}
-        (logs_dir / f"{Path(entry.path).stem}.json").write_text(
-            json.dumps(log_data, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(logs_dir / f"{Path(entry.path).stem}.json", {"path": entry.path, **asdict(log)})
     manifest.save(out / "manifest.json")
     truth = replace(plan, victims=tuple(v for v in plan.victims if v.path not in skipped))
-    (truth_dir / "truth.json").write_text(
-        json.dumps(truth.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(truth_dir / "truth.json", truth)
     return truth
 
 
@@ -307,8 +296,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_compromise(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     out = Path(args.out)
-    manifest, _ = compromise_corpus(cfg, Path(args.src), out, Path(args.truth))
-    print(f"compromised {sum(cfg.victims.values())} of {len(manifest.entries)} files -> {out}")
+    manifest, truth = compromise_corpus(cfg, Path(args.src), out, Path(args.truth))
+    print(f"compromised {len(truth.victims)} of {len(manifest.entries)} files -> {out}")
     return 0
 
 
@@ -325,7 +314,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     flag_sets = [FlagSet.load(p) for p in sorted(flags_dir.glob("*.json"))]
     if not flag_sets:
         raise ValueError(f"no flag sets under {flags_dir}")
-    truth = CompromisePlan.from_json_dict(json.loads(Path(args.truth).read_text()))
+    truth = read_record(args.truth, CompromisePlan.from_json_dict)
     manifest = DatasetManifest.load(args.manifest)
     _print_confusions(evaluate_flags(flag_sets, truth, manifest, Path(args.out)))
     return 0
@@ -338,8 +327,7 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     dirs = [out / name for name in RUN_LAYOUT]
     if args.dry_run:
         layout = {name: str(path) for name, path in zip(RUN_LAYOUT, dirs)}
-        plan = {"config": cfg.to_json_dict(), "stage_seeds": seeds, "layout": layout}
-        print(json.dumps(plan, indent=2, sort_keys=True))
+        print(dumps({"config": cfg, "stage_seeds": seeds, "layout": layout}), end="")
         return 0
 
     original, blind, truth_dir, flags_dir, report_dir = dirs
@@ -347,13 +335,12 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     manifest, truth = compromise_corpus(cfg, original, blind, truth_dir)
     flag_sets = detect_corpus(blind, flags_dir, cfg.detectors, cfg.detector_params)
     report = evaluate_flags(flag_sets, truth, manifest, report_dir)
-    metadata = {
+    write_json(out / "run_metadata.json", {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "package_version": __version__,
-        "config": cfg.to_json_dict(),
+        "config": cfg,
         "stage_seeds": seeds,
-    }
-    (out / "run_metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
+    })
     _print_confusions(report)
     print(f"run complete -> {out}")
     return 0

@@ -32,15 +32,14 @@ Tukey fences at 1.5 IQR with score 0 when the MAD is zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
+from ._json import read_record, write_json
 from .features import FeatureMatrix, standardize
 
 __all__ = [
@@ -86,28 +85,17 @@ class FlagSet:
     flagged: tuple[str, ...]
     scores: dict[str, float]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "detector": self.detector,
-            "parameters": self.parameters,
-            "flagged": list(self.flagged),
-            "scores": {k: self.scores[k] for k in sorted(self.scores)},
-        }
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(path, self)
 
     @staticmethod
     def load(path: str | Path) -> "FlagSet":
-        data = json.loads(Path(path).read_text())
-        return FlagSet(
+        return read_record(path, lambda data: FlagSet(
             detector=data["detector"],
             parameters=data["parameters"],
             flagged=tuple(data["flagged"]),
             scores={k: float(v) for k, v in data["scores"].items()},
-        )
+        ))
 
 
 def modified_zscores(values: np.ndarray) -> np.ndarray | None:
@@ -612,13 +600,15 @@ def _options(name: str, overrides: object) -> dict:
     return {**_DEFAULTS[name], **overrides}
 
 
-def check_detectors(names: Iterable[str], params: object) -> None:
-    """Raise ``ValueError`` unless every name in ``names`` is a detector and
-    ``params`` maps detector names to dicts of overrides that detector
+def check_detectors(names: tuple[str, ...], params: object) -> None:
+    """Raise ``ValueError`` unless ``names`` names at least one detector, each
+    one known, and ``params`` maps detector names to dicts of overrides that detector
     takes, each in range: ``threshold``, ``bandwidth`` and ``eps`` are
     finite numbers > 0, ``min_fraction`` is a number in [0, 1) and
     ``min_samples`` an int >= 1. Numbers are Python ints and floats
     (``np.float64`` is one), not bools; a key left out keeps its default."""
+    if not names:
+        raise ValueError("detectors must be a non-empty list of names")
     for name in names:
         _options(name, {})
     if not isinstance(params, dict):

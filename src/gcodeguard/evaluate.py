@@ -9,10 +9,10 @@ interesting number; precision comes from the corpus-level false positives).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._json import write_json
 from .detectors import FlagSet
 from .mutate import STRATEGY_IDS, CompromisePlan
 
@@ -73,7 +73,7 @@ def per_strategy_recall(flags: FlagSet, truth: CompromisePlan) -> dict[str, dict
     flagged = set(flags.flagged)
     out: dict[str, dict] = {}
     for sid in STRATEGY_IDS:
-        paths = [v.path for v in truth.victims if v.strategy_id == sid]
+        paths = [v.path for v in truth.victims if v.strategy == sid]
         if not paths:
             continue
         detected = sum(1 for p in paths if p in flagged)
@@ -100,7 +100,7 @@ def emit_report(
     """
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    strategies = sorted({v.strategy_id for v in truth.victims})
+    strategies = sorted({v.strategy for v in truth.victims})
 
     per_detector: dict[str, dict] = {}
     for fs in flag_sets:
@@ -145,7 +145,5 @@ def emit_report(
                 row += [ps["detected"], ps["total"]]
             writer.writerow(row)
 
-    (out_path / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out_path / "report.json", report)
     return report

@@ -129,29 +129,15 @@ def select_range(doc: GcodeDocument, mode: RangeMode) -> range:
 class MutationLog:
     """What one strategy application actually did to one document."""
 
-    strategy_id: str
+    strategy: str
     range_mode: RangeMode
-    span_start: int
-    span_end: int
-    target_line_indices: tuple[int, ...]
+    span: tuple[int, int]  # line indices [start, stop)
+    targets: tuple[int, ...]  # indices of the targeted lines in the original
     lines_rewritten: int
     lines_deleted: int
     lines_inserted: int
     original_final_e: float
     mutated_final_e: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy_id,
-            "range_mode": self.range_mode.value,
-            "span": [self.span_start, self.span_end],
-            "targets": list(self.target_line_indices),
-            "lines_rewritten": self.lines_rewritten,
-            "lines_deleted": self.lines_deleted,
-            "lines_inserted": self.lines_inserted,
-            "original_final_e": self.original_final_e,
-            "mutated_final_e": self.mutated_final_e,
-        }
 
 
 def _command(code: str, params: tuple, comment: str | None = None) -> tuple:
@@ -212,11 +198,10 @@ def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocumen
 
     mutated = GcodeDocument(tuple(new_lines), doc.source_path, doc.final_newline)
     log = MutationLog(
-        strategy_id=sid,
+        strategy=sid,
         range_mode=strategy.range_mode,
-        span_start=span.start,
-        span_end=span.stop,
-        target_line_indices=tuple(targets),
+        span=(span.start, span.stop),
+        targets=tuple(targets),
         lines_rewritten=0 if sid == "ID6" else len(targets),
         lines_deleted=len(targets) if sid == "ID6" else 0,
         lines_inserted=len(targets) if sid == "ID2" else 0,
@@ -229,7 +214,7 @@ def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocumen
 @dataclass(frozen=True)
 class VictimAssignment:
     path: str
-    strategy_id: str
+    strategy: str
 
 
 @dataclass(frozen=True)
@@ -239,16 +224,6 @@ class CompromisePlan:
     dataset_id: str
     seed: int
     victims: tuple[VictimAssignment, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dataset_id": self.dataset_id,
-            "seed": self.seed,
-            "victims": [
-                {"path": v.path, "strategy": v.strategy_id}
-                for v in sorted(self.victims, key=lambda v: v.path)
-            ],
-        }
 
     @staticmethod
     def from_json_dict(data: dict) -> "CompromisePlan":
@@ -281,7 +256,8 @@ def plan_compromise(
 
     ``counts`` maps strategy ids to how many files each one gets and must
     pass ``check_victims``. The draw order is deterministic in ``seed``; a
-    file receives at most one strategy.
+    file receives at most one strategy. Victims are sorted by path, as
+    ``truth.json`` lists them.
     """
     check_victims(counts, len(manifest.entries))
     rng = random.Random(seed)
@@ -292,6 +268,7 @@ def plan_compromise(
         for _ in range(counts.get(sid, 0)):
             victims.append(VictimAssignment(drawn[cursor], sid))
             cursor += 1
+    victims.sort(key=lambda v: v.path)
     return CompromisePlan(
         dataset_id=manifest.dataset_id, seed=seed, victims=tuple(victims)
     )

@@ -16,13 +16,13 @@ Every E token is written with exactly 5 decimal places, X/Y/Z with 3.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
+from ._json import read_record, write_json
 from ._pool import map_ordered
 from .gcode import GcodeDocument, parse_document
 
@@ -372,32 +372,19 @@ class DatasetManifest:
     generator_version: str
     entries: tuple[ManifestEntry, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dataset_id": self.dataset_id,
-            "generator_version": self.generator_version,
-            "entries": [
-                {"path": en.path, "angle_deg": en.angle_deg, "seed": en.seed}
-                for en in self.entries
-            ],
-        }
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(path, self)
 
     @staticmethod
     def load(path: str | Path) -> "DatasetManifest":
-        data = json.loads(Path(path).read_text())
-        return DatasetManifest(
+        return read_record(path, lambda data: DatasetManifest(
             dataset_id=data["dataset_id"],
             generator_version=data["generator_version"],
             entries=tuple(
                 ManifestEntry(en["path"], float(en["angle_deg"]), int(en["seed"]))
                 for en in data["entries"]
             ),
-        )
+        ))
 
 
 def _write_specimen(spec: SpecimenSpec, out_dir: Path, entry: ManifestEntry) -> None:

@@ -12,6 +12,7 @@ import pytest
 from conftest import TINY_SPEC
 
 from gcodeguard import _pool, cli, detectors
+from gcodeguard._json import dumps
 from gcodeguard.cli import (
     PRESETS,
     ExperimentConfig,
@@ -20,11 +21,11 @@ from gcodeguard.cli import (
     main,
     stage_seed,
 )
-from gcodeguard.detectors import DETECTOR_NAMES, cluster_agglomerative, fit_pca
+from gcodeguard.detectors import DETECTOR_NAMES, FlagSet, cluster_agglomerative, fit_pca
 from gcodeguard.features import build_matrix, extract, standardize, write_features_csv
 from gcodeguard.gcode import GcodeDocument, parse_document
-from gcodeguard.mutate import STRATEGY_IDS, RangeMode
-from gcodeguard.synthgen import SpecimenSpec, generate_dataset
+from gcodeguard.mutate import STRATEGY_IDS, CompromisePlan, RangeMode
+from gcodeguard.synthgen import DatasetManifest, SpecimenSpec, generate_dataset
 
 
 class TestStageSeed:
@@ -97,7 +98,7 @@ class TestExperimentConfig:
 
     def test_json_dict_is_sorted_and_complete(self):
         cfg = self.base(victims={"ID6": 1, "ID1": 2})
-        data = cfg.to_json_dict()
+        data = json.loads(dumps(cfg))
         assert list(data["victims"]) == ["ID1", "ID6"]
         assert data["seed"] == 719
 
@@ -318,6 +319,26 @@ class TestRunAll:
             "single_stat", "combined_stat", "pca_agglomerative",
             "pca_meanshift", "dbscan",
         }
+        json_files = sorted(out.rglob("*.json"))
+        # two manifests, truth, two logs, five flag sets, report, run metadata
+        assert len(json_files) == 12
+        for path in json_files:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    def test_records_load_back_equal(self, tmp_path):
+        cfg = ExperimentConfig(**TINY_CLI_CONFIG)
+        original, blind, truth_dir, flags_dir, _ = (tmp_path / n for n in cli.RUN_LAYOUT)
+        manifest = cli.generate_corpus(cfg, original)
+        _, truth = cli.compromise_corpus(cfg, original, blind, truth_dir)
+        flag_sets = detect_corpus(blind, flags_dir, cfg.detectors, cfg.detector_params)
+        assert len(truth.victims) == 2
+        assert DatasetManifest.load(original / "manifest.json") == manifest
+        assert DatasetManifest.load(blind / "manifest.json") == manifest
+        data = json.loads((truth_dir / "truth.json").read_text())
+        assert CompromisePlan.from_json_dict(data) == truth
+        for fs in flag_sets:
+            assert FlagSet.load(flags_dir / f"{fs.detector}.json") == fs
 
     def test_same_bytes_as_the_four_subcommands(self, tmp_path):
         cfg_path = tmp_path / "config.json"
@@ -383,6 +404,27 @@ STRICT_CONFIGS = [
         {"preset": "d1", "angular_step": "2"},
         "bad config value: angular_step must be a number, got '2'",
     ),
+    ({"preset": "d1", "detectors": []}, "detectors must be a non-empty list of names"),
+    (
+        {"preset": "d1", "detectors": "dbscan"},
+        "bad config value: detectors must be a non-empty list of names, got 'dbscan'",
+    ),
+]
+
+
+# Evaluate inputs of the wrong shape: (file replaced, its content, message
+# after the file name).
+MALFORMED_EVALUATE_INPUTS = [
+    ("truth.json", {"dataset_id": "D1", "seed": 1, "victims": 5}, "'int' object is not iterable"),
+    ("truth.json", [], "expected a JSON object, got list"),
+    ("truth.json", {"dataset_id": "D1", "victims": []}, "missing key 'seed'"),
+    ("truth.json", {"dataset_id": "D1", "seed": 1, "victims": [{"path": "a"}]},
+     "missing key 'strategy'"),
+    ("flags/single_stat.json", [], "expected a JSON object, got list"),
+    ("flags/single_stat.json", {"detector": "single_stat"}, "missing key 'parameters'"),
+    ("manifest.json", [], "expected a JSON object, got list"),
+    ("manifest.json", {"dataset_id": "D1", "generator_version": "1", "entries": 3},
+     "'int' object is not iterable"),
 ]
 
 
@@ -504,6 +546,23 @@ class TestErrorPaths:
     def test_missing_config_source(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("name,content,message", MALFORMED_EVALUATE_INPUTS)
+    def test_malformed_evaluate_input(self, name, content, message, cli_pipeline, tmp_path,
+                                      capsys):
+        flags = tmp_path / "flags"
+        shutil.copytree(cli_pipeline / "flags", flags)
+        shutil.copy(cli_pipeline / "truth" / "truth.json", tmp_path)
+        shutil.copy(cli_pipeline / "blind" / "manifest.json", tmp_path)
+        bad = tmp_path / name
+        bad.write_text(json.dumps(content))
+        out = tmp_path / "report"
+        assert main([
+            "evaluate", "--flags", str(flags), "--truth", str(tmp_path / "truth.json"),
+            "--manifest", str(tmp_path / "manifest.json"), "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
     def test_evaluate_without_flags(self, tmp_path):
         empty = tmp_path / "flags"
         empty.mkdir()
@@ -600,7 +659,9 @@ class TestUntouchableVictims:
             "compromise", "--config", str(cfg_path), "--src", str(src),
             "--out", str(blind), "--truth", str(truth),
         ]) == 0
-        assert "skipping" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "skipping" in captured.err
+        assert captured.out == f"compromised 0 of 4 files -> {blind}\n"
         truth_data = json.loads((truth / "truth.json").read_text())
         assert truth_data["victims"] == []
         for path in src.glob("*.gcode"):

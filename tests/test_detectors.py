@@ -673,7 +673,7 @@ class TestRunDetector:
         with pytest.raises(ValueError, match=f"^{name}: {key} must be "):
             run_detector(name, jittered_fm, {key: value})
         with pytest.raises(ValueError, match=f"^{name}: {key} must be "):
-            detectors.check_detectors((), {name: {key: value}})
+            detectors.check_detectors((name,), {name: {key: value}})
 
     def test_in_range_overrides_accepted(self, jittered_fm):
         params = {
@@ -683,7 +683,7 @@ class TestRunDetector:
             "pca_meanshift": {"bandwidth": 2.0, "min_fraction": 0.5},
             "dbscan": {"eps": 2.5, "min_samples": 1},
         }
-        detectors.check_detectors((), params)
+        detectors.check_detectors(tuple(params), params)
         for name, overrides in params.items():
             assert run_detector(name, jittered_fm, overrides).detector == name
 

@@ -28,7 +28,7 @@ def make_truth(victims, dataset_id="DS", seed=1):
     return CompromisePlan(
         dataset_id=dataset_id,
         seed=seed,
-        victims=tuple(VictimAssignment(path=p, strategy_id=s) for p, s in victims),
+        victims=tuple(VictimAssignment(path=p, strategy=s) for p, s in victims),
     )
 
 

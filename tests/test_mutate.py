@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from gcodeguard._json import dumps
 from gcodeguard.gcode import count_decimals, parse_document, scan, serialize, simulate
 from gcodeguard.mutate import (
     STRATEGY_IDS,
@@ -113,8 +116,8 @@ class TestApplyStrategy:
         mutated, log = apply_strategy(doc, Strategy.default("ID1"))
         # Layers 1..2 hold 12 extruding moves; ordinals 4, 8, 12 convert.
         assert log.lines_rewritten == 3
-        assert len(log.target_line_indices) == 3
-        for i in log.target_line_indices:
+        assert len(log.targets) == 3
+        for i in log.targets:
             original = doc.lines[i]
             converted = mutated.lines[i]
             assert original[2] == "G1" and param(original, "E") is not None
@@ -129,7 +132,7 @@ class TestApplyStrategy:
         before, after = line_texts(doc), line_texts(mutated)
         assert len(before) == len(after)
         changed = {i for i, (a, b) in enumerate(zip(before, after)) if a != b}
-        assert changed == set(log.target_line_indices)
+        assert changed == set(log.targets)
 
     def test_id2_inserts_blob_after_conversion(self):
         doc = make_layered_doc()
@@ -137,7 +140,7 @@ class TestApplyStrategy:
         assert log.lines_inserted == log.lines_rewritten == 3
         assert len(mutated.lines) == len(doc.lines) + 3
         texts = line_texts(mutated)
-        for i in log.target_line_indices:
+        for i in log.targets:
             original = doc.lines[i]
             blob_text = f"G1 E{format_minimal(float(param(original, 'E')))}"
             converted_at = texts.index(original[0].replace("G1", "G0").rsplit(" E", 1)[0])
@@ -166,7 +169,7 @@ class TestApplyStrategy:
     def test_id4_sets_previous_extrusion(self):
         doc = make_layered_doc()
         mutated, log = apply_strategy(doc, Strategy.default("ID4"))
-        for i in log.target_line_indices:
+        for i in log.targets:
             prev_e = float(param(doc.lines[i - 1], "E"))
             assert param(mutated.lines[i], "E") == format_minimal(prev_e)
 
@@ -181,14 +184,14 @@ class TestApplyStrategy:
         mutated, log = apply_strategy(doc, Strategy.default("ID4"))
         # Middle layers 1..2 hold five moves; the 4th ("E12.34560") is the
         # target and its E becomes the previous move's value, trimmed.
-        (target,) = log.target_line_indices
+        (target,) = log.targets
         assert param(doc.lines[target], "E") == "12.34560"
         assert param(mutated.lines[target], "E") == "12.33"
 
     def test_id5_adds_tenth_of_milli(self):
         doc = make_layered_doc()
         mutated, log = apply_strategy(doc, Strategy.default("ID5"))
-        for i in log.target_line_indices:
+        for i in log.targets:
             prev_e = float(param(doc.lines[i - 1], "E"))
             assert float(param(mutated.lines[i], "E")) == pytest.approx(
                 prev_e + 0.0001, abs=1e-12
@@ -199,7 +202,7 @@ class TestApplyStrategy:
         mutated, log = apply_strategy(doc, Strategy.default("ID6"))
         assert log.lines_deleted == 3  # floor(12 / 4)
         assert len(mutated.lines) == len(doc.lines) - 3
-        deleted = {doc.lines[i][0] for i in log.target_line_indices}
+        deleted = {doc.lines[i][0] for i in log.targets}
         remaining = set(line_texts(mutated))
         assert deleted.isdisjoint(remaining)
 
@@ -374,7 +377,7 @@ def test_register_moves_in_range(sid, mode):
         expected.extend(edits.get(i, [record[0]]))
     assert line_texts(mutated) == expected
     assert list(scan(serialize(mutated))) == list(mutated.lines)
-    assert log.to_json_dict() == {
+    assert json.loads(dumps(log)) == {
         "strategy": sid,
         "range_mode": mode.value,
         "span": REGISTER_MOVE_SPANS[mode],
@@ -446,7 +449,7 @@ class TestPlanCompromise:
         assert len({v.path for v in plan.victims}) == 5
         by_sid = {}
         for v in plan.victims:
-            by_sid[v.strategy_id] = by_sid.get(v.strategy_id, 0) + 1
+            by_sid[v.strategy] = by_sid.get(v.strategy, 0) + 1
         assert by_sid == {"ID1": 2, "ID6": 3}
 
     def test_deterministic(self):
@@ -477,8 +480,6 @@ class TestPlanCompromise:
 
     def test_json_round_trip(self):
         plan = plan_compromise(tiny_manifest(), {"ID1": 2, "ID3": 1}, seed=2)
-        again = CompromisePlan.from_json_dict(plan.to_json_dict())
-        assert {(v.path, v.strategy_id) for v in again.victims} == {
-            (v.path, v.strategy_id) for v in plan.victims
-        }
-        assert again.dataset_id == plan.dataset_id
+        again = CompromisePlan.from_json_dict(json.loads(dumps(plan)))
+        assert again == plan
+        assert [v.path for v in plan.victims] == sorted(v.path for v in plan.victims)
