@@ -35,6 +35,15 @@ def write_json(path: str | Path, obj: object) -> None:
     Path(path).write_text(dumps(obj))
 
 
+def read_json(path: str | Path) -> object:
+    """The JSON value in ``path``; a file that is not JSON raises one
+    ``ValueError`` that names the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_record(path: str | Path, build: Callable[[dict], T]) -> T:
     """``build`` applied to the JSON object in ``path``.
 
@@ -42,8 +51,8 @@ def read_record(path: str | Path, build: Callable[[dict], T]) -> T:
     read (a missing key, a value of the wrong type) raises one
     ``ValueError`` that names the file.
     """
+    data = read_json(path)
     try:
-        data = json.loads(Path(path).read_text())
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         return build(data)

@@ -25,11 +25,12 @@ R = TypeVar("R")
 
 # Items one worker must have before it is worth starting. Starting two
 # workers that import the package takes 0.3-0.4 s of wall time on two
-# cores; generating a file takes about 13 ms and scanning one 25-35 ms, so
-# two workers break even at about 60 generated files and win clearly on
-# scans of that many.
+# cores; generating a file takes about 13 ms and folding one into its
+# features 11-23 ms (d1 and D2 files), so two workers break even at 35-70
+# files. Measured on 60 files, two workers took 0.85-1.1 s against
+# 1.0-1.4 s in one process.
 FILES_PER_WORKER = 30
-# Items sent to a worker per round trip: 4 files are 50-140 ms of work, so
+# Items sent to a worker per round trip: 4 files are 45-90 ms of work, so
 # queueing costs little and the last chunks still spread over the workers.
 _CHUNK = 4
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
@@ -26,12 +25,12 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from ._json import dumps, read_record, write_json
+from ._json import dumps, read_json, read_record, write_json
 from ._pool import map_ordered
 from .detectors import DETECTOR_NAMES, FlagSet, check_detectors, run_detectors
 from .evaluate import emit_report
 from .features import FeatureVector, build_matrix, extract, write_features_csv
-from .gcode import parse_document, scan, serialize
+from .gcode import parse_document, serialize
 from .mutate import (
     STRATEGY_IDS,
     CompromisePlan,
@@ -129,7 +128,7 @@ def _number(key: str, value: object, kind: type = float) -> float:
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     """Resolve preset/config-file/flag layers into one validated config."""
     if getattr(args, "config", None):
-        data = json.loads(Path(args.config).read_text())
+        data = read_json(args.config)
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {"preset", *(f.name for f in fields(ExperimentConfig))}
@@ -234,8 +233,8 @@ def write_compromised(
 
 
 def _file_features(src: Path, name: str) -> FeatureVector:
-    """One file's features, folded straight off its ``scan`` records."""
-    return extract(scan(src.joinpath(name).read_bytes(), source_path=name), path=name)
+    """One file's features, folded straight off its bytes."""
+    return extract(src.joinpath(name).read_bytes(), path=name)
 
 
 def detect_corpus(
@@ -244,10 +243,9 @@ def detect_corpus(
     """Feature pass plus every requested detector; writes flag sets and CSVs.
 
     Detector names and overrides are checked before any file is read. Each
-    file's features are folded straight off its ``scan`` records, one
-    file at a time per usable CPU: no document is built, and memory does not
-    grow with the corpus. When files fail, the first in sorted order names
-    the error.
+    file's features are folded straight off its bytes, one file at a time
+    per usable CPU: no document is built, and memory does not grow with the
+    corpus. When files fail, the first in sorted order names the error.
     Nothing is written until every detector has returned, so a detector
     that fails leaves no partial output behind.
     """
@@ -303,7 +301,7 @@ def cmd_compromise(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     detectors = tuple(args.detectors.split(",")) if args.detectors else DETECTOR_NAMES
-    params = json.loads(Path(args.params).read_text()) if args.params else {}
+    params = read_json(args.params) if args.params else {}
     for fs in detect_corpus(Path(args.src), Path(args.out), detectors, params):
         print(f"{fs.detector}: flagged {len(fs.flagged)}")
     return 0

@@ -90,12 +90,20 @@ class FlagSet:
 
     @staticmethod
     def load(path: str | Path) -> "FlagSet":
-        return read_record(path, lambda data: FlagSet(
-            detector=data["detector"],
-            parameters=data["parameters"],
-            flagged=tuple(data["flagged"]),
-            scores={k: float(v) for k, v in data["scores"].items()},
-        ))
+        return read_record(path, FlagSet._from_json)
+
+    @staticmethod
+    def _from_json(data: dict) -> "FlagSet":
+        detector, parameters = data["detector"], data["parameters"]
+        flagged, scores = data["flagged"], data["scores"]
+        if not (isinstance(flagged, list) and all(isinstance(p, str) for p in flagged)):
+            raise ValueError("flagged must be a list of path strings")
+        if not (isinstance(scores, dict) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in scores.values()
+        )):
+            raise ValueError("scores must map paths to numbers")
+        scores = {k: float(v) for k, v in scores.items()}
+        return FlagSet(detector, parameters, tuple(flagged), scores)
 
 
 def modified_zscores(values: np.ndarray) -> np.ndarray | None:
@@ -668,7 +676,8 @@ def run_detectors(
     """Run detectors on one standardization and one PCA of ``fm``.
 
     ``params`` maps names to ``run_detector`` overrides. Returns the flag
-    sets in ``names`` order, the PCA projection, and the Ward labels of
+    sets in ``names`` order, the PCA projection (no rows for a corpus of one
+    file, which PCA cannot fit), and the Ward labels of
     ``pca_agglomerative`` (all -1 when it was not requested).
     """
     space = _Projection(fm)
@@ -679,4 +688,4 @@ def run_detectors(
         if name == "pca_agglomerative":
             ward = labels
         flag_sets.append(fs)
-    return flag_sets, space.pts, ward
+    return flag_sets, space.pts if len(fm.paths) > 1 else np.empty((0, 2)), ward

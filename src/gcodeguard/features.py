@@ -61,15 +61,16 @@ class FeatureVector:
     e_decimal_histogram: tuple[tuple[int, int], ...]
 
 
-def extract(source: Iterable[tuple], path: str | None = None) -> FeatureVector:
+def extract(source: bytes | str | Iterable[tuple], path: str | None = None) -> FeatureVector:
     """One ``simulate`` pass reduced to the canonical counts plus extras.
 
-    ``source`` is anything ``simulate`` takes: a document or the records of
-    ``gcode.scan``. ``path`` defaults to a document's ``source_path``.
+    ``source`` is anything ``simulate`` takes: a file's bytes or text, a
+    document or the records of ``gcode.scan``. ``path`` defaults to a
+    document's ``source_path`` and names the file in a fault's message.
     """
     if path is None:
         path = getattr(source, "source_path", None)
-    summary = simulate(source)
+    summary = simulate(source, path)
     counts = tuple(
         summary.total_lines if name == "total_lines"
         else summary.command_counts.get(name, 0)

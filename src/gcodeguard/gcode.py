@@ -16,11 +16,17 @@ separated by single spaces, parameters in their original order.
 
 ``scan`` is the one line scanner and its record the one line type. It
 makes every check on a file (ASCII, line ends, grammar, ``M83``, duplicate
-letters, increasing layer marks) and yields one plain tuple per line.
-A ``GcodeDocument`` is those records held in order, for code that edits or
-re-serializes a file. ``simulate`` is the one fold that counts: it takes any
-iterable of records, a document or ``scan`` itself, so reading features off
-a file builds no document at all.
+letters, increasing layer marks) and yields one plain tuple per line, and
+it is the one place that names a fault. A ``GcodeDocument`` is those
+records held in order, for code that edits or re-serializes a file.
+
+``simulate`` is the one fold that counts. It reads a file's bytes or text
+in slices of whole lines and folds each slice with compiled regular
+expressions and numpy, never line by line in Python: a slice pattern built
+from the same fragments as the scanner's checks the grammar, and fast
+checks cover the rest. When any of them fires, ``simulate`` runs ``scan``
+over the data, which raises the first fault's message. Records (a document
+or ``scan`` itself) are joined back into text and folded the same way.
 
 Only absolute extrusion is supported. ``M83`` (relative extrusion) is
 rejected at scan time rather than silently misinterpreted.
@@ -29,9 +35,14 @@ rejected at scan time rather than silently misinterpreted.
 from __future__ import annotations
 
 import enum
+import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "MalformedLineError",
@@ -75,16 +86,47 @@ class LineKind(enum.Enum):
     BLANK = "blank"
 
 
-# Number tokens are plain decimals: no exponents, no leading letters, at most
-# one dot. float() alone would admit "1e3", "nan" and "1_0", so syntax is
-# checked by regex and float() is used only for the value.
+# The grammar's fragments, written once: the line scanner's patterns and the
+# slice fold's are built from them. Number tokens are plain decimals: no
+# exponents, no leading letters, at most one dot. float() alone would admit
+# "1e3", "nan" and "1_0", so syntax is checked by regex and float() is used
+# only for the value.
+_CODE = r"[A-Z][0-9]+"
+_NUMBER = r"[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+_PARAMS = rf"(?:[ \t]+[A-Z]{_NUMBER})*"
+_LAYER_MARK = r"LAYER:([0-9]+)"
+# What str.strip() removes from an ASCII line, line ends aside.
+_WS = r"[\t\x0b\x0c\x1c-\x1f ]"
+
 _COMMAND_RE = re.compile(
-    r"(?P<code>[A-Z][0-9]+)"
-    r"(?P<params>(?:[ \t]+[A-Z][-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+))*)"
-    r"[ \t]*(?:;(?P<comment>.*))?\Z"
+    rf"(?P<code>{_CODE})(?P<params>{_PARAMS})[ \t]*(?:;(?P<comment>.*))?\Z"
 )
-_PARAM_RE = re.compile(r"([A-Z])([-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+))")
-_LAYER_MARK_RE = re.compile(r"LAYER:([0-9]+)\Z")
+_PARAM_RE = re.compile(rf"([A-Z])({_NUMBER})")
+_LAYER_MARK_RE = re.compile(rf"{_LAYER_MARK}\Z")
+
+# The slice fold reads ASCII bytes: a newline, then whole lines that each end
+# in one. A slice is about this many bytes, so that each pass's cost per call
+# is small and a slice's working set stays near 1 MB whatever the file size.
+_SLICE_BYTES = 1 << 16
+# One valid line, at the start of a line. Removing every match from a slice
+# leaves its first newline alone exactly when every line is valid. A line
+# parses one way only, so one that fails does so in linear time. (Matching
+# the slice as one repeated group would keep backtracking state for every
+# line: megabytes per slice.)
+_VALID_LINE_RE = re.compile(
+    rf"(?<=\n){_WS}*(?:;[^\n]*|{_CODE}{_PARAMS}(?:[ \t]*;[^\n]*|{_WS}*))?\n".encode()
+)
+# Each non-blank line's code, or ";" for a comment line.
+_LINE_START_RE = re.compile(rf"\n{_WS}*({_CODE}|;)".encode())
+_LAYER_LINE_RE = re.compile(rf"\n{_WS}*;{_WS}*{_LAYER_MARK}{_WS}*(?=\n)".encode())
+_COMMENT_RE = re.compile(rb";[^\n]*")
+# Decimal places of each E number in comment-free text. A code that starts
+# with E matches too, with no decimals.
+_E_DECIMALS_RE = re.compile(rb"E[-+]?[0-9]*\.?([0-9]*)")
+# Leaves each token's number as a whitespace-separated word.
+_NUMBERS_ONLY = bytes.maketrans(
+    bytes(range(ord("A"), ord("Z") + 1)) + b"\x1c\x1d\x1e\x1f", b" " * 30
+)
 
 
 def count_decimals(number_text: str) -> int:
@@ -225,11 +267,12 @@ def serialize(doc: GcodeDocument) -> bytes:
 class PrinterState:
     """Mutable machine registers, advanced one command at a time by ``apply``.
 
-    ``apply`` is the one definition of how commands move the registers.
-    Extrusion is absolute (M82): a G1 with E contributes
-    ``max(0, E_target - E_register)`` of filament, then the register jumps to
-    the target. G0 and G92 set the named registers without extruding; every
-    other command leaves them alone.
+    ``apply`` moves the registers command by command, for code that edits a
+    document; ``simulate`` folds the same rule over whole slices, and the
+    tests hold the two equal. Extrusion is absolute (M82): a G1 with E
+    contributes ``max(0, E_target - E_register)`` of filament, then the
+    register jumps to the target. G0 and G92 set the named registers without
+    extruding; every other command leaves them alone.
     """
 
     x: float = 0.0
@@ -271,56 +314,132 @@ class PrintSummary:
     e_decimal_histogram: dict[int, int]
 
 
-def simulate(records: Iterable[tuple]) -> PrintSummary:
-    """Fold ``scan`` records, or a document of them, into a ``PrintSummary``.
+def simulate(
+    source: bytes | str | Iterable[tuple], source_path: str | None = None
+) -> PrintSummary:
+    """Fold a file's bytes or text, or its ``scan`` records, into a ``PrintSummary``.
 
-    The registers advance through a fresh ``PrinterState``. Bounds cover
-    only axis values named explicitly on G0/G1 moves; modal carry-over never
-    widens them. The E-decimal histogram counts the textual decimal places
-    of every E parameter on any command, G92 included.
+    Records, a document or ``scan`` itself, are joined back into text. The
+    registers follow ``PrinterState.apply``. Bounds cover only axis values
+    named explicitly on G0/G1 moves; modal carry-over never widens them. The
+    E-decimal histogram counts the textual decimal places of every E
+    parameter on any command, G92 included. Raises what ``scan`` raises,
+    naming ``source_path``.
     """
-    state = PrinterState()
-    counts: dict[str, int] = {}
-    axes: dict[str, list[str]] = {"X": [], "Y": [], "Z": []}
-    histogram: dict[int, int] = {}
-    comments = 0
-    blanks = 0
-    layers = 0
+    if isinstance(source, (bytes, str)):
+        data = source
+    else:
+        data = "\n".join([record[0] for record in source] + [""])
+    summary = _fold(data)
+    if summary is None:
+        for _ in scan(data, source_path):
+            pass
+        raise RuntimeError(f"{source_path or '<data>'}: slice checks fired on a file scan accepts")
+    return summary
 
-    for _, kind, code, params, _, layer in records:
-        if code is None:
-            if kind is LineKind.BLANK:
-                blanks += 1
-            else:
-                comments += 1
-                if layer is not None:
-                    layers += 1
-            continue
-        counts[code] = counts.get(code, 0) + 1
-        if not params:
-            continue
-        move = code == "G0" or code == "G1"
-        for letter, text in params:
-            if letter == "E":
-                d = count_decimals(text)
-                histogram[d] = histogram.get(d, 0) + 1
-            elif move and letter in axes:
-                axes[letter].append(text)
-        state.apply(code, params)
 
-    bounds = {}
-    for axis, texts in axes.items():
-        if texts:
-            values = [float(t) for t in texts]
-            bounds[axis] = (min(values), max(values))
+def _whole_line_slices(data: bytes | str) -> Iterator[bytes | str]:
+    """``data`` cut after a newline about every ``_SLICE_BYTES``; a longer
+    line is a slice of its own."""
+    newline = "\n" if isinstance(data, str) else b"\n"
+    start = 0
+    while start < len(data):
+        end = data.rfind(newline, start, start + _SLICE_BYTES)
+        if end < 0:
+            end = data.find(newline, start + _SLICE_BYTES)
+        end = len(data) if end < 0 else end + 1
+        yield data[start:end]
+        start = end
+
+
+def _floats(numbers: list[bytes], mask: np.ndarray) -> list[float]:
+    return list(map(float, compress(numbers, mask.tolist())))
+
+
+def _fold(data: bytes | str) -> PrintSummary | None:
+    """``simulate``'s fold, or None when a check fires: text that is not
+    ASCII, a bare carriage return, a line off the grammar, ``M83``, a
+    repeated parameter letter or a layer mark that does not increase."""
+    if isinstance(data, str) and not data.isascii():
+        return None
+    counts: Counter[bytes] = Counter()
+    histogram: Counter[int] = Counter()
+    bounds: dict[str, tuple[float, float]] = {}
+    lines = layers = 0
+    last_layer = -1
+    e = extruded = 0.0
+    for piece in _whole_line_slices(data):
+        chunk = b"\n" + (piece.encode("ascii") if isinstance(piece, str) else piece)
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n")
+            if b"\r" in chunk:
+                return None
+        if not chunk.endswith(b"\n"):
+            chunk += b"\n"
+        if not chunk.isascii() or _VALID_LINE_RE.sub(b"", chunk) != b"\n":
+            return None
+        lines += chunk.count(b"\n") - 1
+        heads = _LINE_START_RE.findall(chunk)
+        counts.update(heads)
+        marks = [int(mark) for mark in _LAYER_LINE_RE.findall(chunk)]
+        if not all(map(operator.lt, [last_layer, *marks], marks)):
+            return None
+        if marks:
+            layers += len(marks)
+            last_layer = marks[-1]
+
+        text = _COMMENT_RE.sub(b"", chunk)
+        histogram.update(map(len, _E_DECIMALS_RE.findall(text)))
+        # Every letter left starts a token: a line's code, then its parameters.
+        chars = np.frombuffer(text, np.uint8)
+        tokens = np.flatnonzero((chars >= ord("A")) & (chars <= ord("Z")))
+        if not tokens.size:
+            continue
+        letters = chars[tokens]
+        line = np.searchsorted(np.flatnonzero(chars == ord("\n")), tokens)
+        param = np.ones(tokens.size, bool)
+        param[0] = False
+        np.equal(line[1:], line[:-1], out=param[1:])
+        keys = np.sort((line * 128 + letters)[param])
+        if (keys[1:] == keys[:-1]).any():
+            return None
+        # Each token's line code: the heads of the command lines, in order.
+        codes = np.array(heads)
+        codes = codes[codes != b";"][np.cumsum(~param) - 1]
+        g1 = codes == b"G1"
+        move = param & (g1 | (codes == b"G0"))
+        numbers = text.translate(_NUMBERS_ONLY).split()
+
+        registered = param & (letters == ord("E")) & (move | (codes == b"G92"))
+        if registered.any():
+            targets = np.array(_floats(numbers, registered))
+            with np.errstate(invalid="ignore"):  # inf - inf, as the loop gives nan
+                steps = targets - np.append(e, targets[:-1])
+            steps = np.where(g1[registered] & (steps > 0.0), steps, 0.0)
+            # accumulate adds in order, so the total has the loop's bits.
+            extruded = np.add.accumulate(np.append(extruded, steps))[-1]
+            e = targets[-1]
+        for axis in "XYZ":
+            values = _floats(numbers, move & (letters == ord(axis)))
+            if values:
+                lo, hi = min(values), max(values)
+                if axis in bounds:  # min and max keep the first of equal values
+                    lo, hi = min(bounds[axis][0], lo), max(bounds[axis][1], hi)
+                bounds[axis] = (lo, hi)
+
+    if b"M83" in counts:
+        return None
+    comments = counts.pop(b";", 0)
+    command_counts = {code.decode(): n for code, n in counts.items()}
+    histogram[0] -= sum(n for code, n in command_counts.items() if code[0] == "E")
     return PrintSummary(
-        final_e=state.e,
-        total_extruded=state.extruded,
+        final_e=float(e),
+        total_extruded=float(extruded),
         bounds=bounds,
         layer_count=layers,
-        command_counts=counts,
+        command_counts=command_counts,
         comment_lines=comments,
-        blank_lines=blanks,
-        total_lines=comments + blanks + sum(counts.values()),
-        e_decimal_histogram=histogram,
+        blank_lines=lines - comments - sum(command_counts.values()),
+        total_lines=lines,
+        e_decimal_histogram=dict(+histogram),
     )

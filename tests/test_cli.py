@@ -425,6 +425,12 @@ MALFORMED_EVALUATE_INPUTS = [
     ("manifest.json", [], "expected a JSON object, got list"),
     ("manifest.json", {"dataset_id": "D1", "generator_version": "1", "entries": 3},
      "'int' object is not iterable"),
+    ("flags/single_stat.json",
+     {"detector": "single_stat", "parameters": {}, "flagged": "blind/a.gcode", "scores": {}},
+     "flagged must be a list of path strings"),
+    ("flags/single_stat.json",
+     {"detector": "single_stat", "parameters": {}, "flagged": [], "scores": {"a.gcode": "1.5"}},
+     "scores must map paths to numbers"),
 ]
 
 
@@ -542,6 +548,46 @@ class TestErrorPaths:
         assert main(["run-all", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_config_that_is_not_json_names_the_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text('{"preset": "d1",}')
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: Expecting property name enclosed in double quotes: "
+            "line 1 column 17 (char 16)\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_params_that_are_not_json_name_the_file(self, tiny_corpus, tmp_path, capsys):
+        src, _ = tiny_corpus
+        params_path = tmp_path / "params.json"
+        params_path.write_text("{dbscan}")
+        out = tmp_path / "flags"
+        assert main([
+            "detect", "--src", str(src), "--out", str(out), "--params", str(params_path),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {params_path}: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n"
+        )
+        assert not out.exists()
+
+    def test_one_file_with_stat_detectors_only(self, tiny_corpus, tmp_path, capsys):
+        src, manifest = tiny_corpus
+        one = tmp_path / "one"
+        one.mkdir()
+        name = manifest.entries[0].path
+        (one / name).write_bytes((src / name).read_bytes())
+        out = tmp_path / "flags"
+        assert main([
+            "detect", "--src", str(one), "--out", str(out),
+            "--detectors", "single_stat,combined_stat",
+        ]) == 0
+        assert (out / "pca_scatter.csv").read_text() == "path,pc1,pc2,cluster_label\n"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "combined_stat.json", "features.csv", "pca_scatter.csv", "single_stat.json",
+        ]
 
     def test_missing_config_source(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "o")]) == 1

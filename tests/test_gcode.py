@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gcodeguard import gcode
 from gcodeguard.gcode import (
     GcodeDocument,
     LineKind,
+    PrinterState,
     PrintSummary,
     MalformedFileError,
     MalformedLineError,
@@ -22,6 +27,7 @@ from gcodeguard.gcode import (
 )
 from gcodeguard.features import extract
 from gcodeguard.mutate import _command
+from gcodeguard.synthgen import build_specimen, preset_spec
 
 from conftest import doc_from
 
@@ -213,8 +219,10 @@ class TestCountDecimals:
         assert count_decimals(text) == expected
 
 
-# Bounded decimal text like the generator and mutator emit.
+# Bounded decimal text like the generator and mutator emit, and signed zeros
+# whose first occurrence decides the sign of a bound.
 _number = st.one_of(
+    st.sampled_from(["0.000", "-0.000", "0", "-0", "+0.0", ".0", "-.0"]),
     st.integers(min_value=-9999, max_value=9999).map(str),
     st.tuples(
         st.integers(min_value=-999, max_value=999),
@@ -331,35 +339,92 @@ def plain_simulate(records) -> PrintSummary:
     )
 
 
+# Whitespace that str.strip() removes around a line, line ends aside.
+_edge_space = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", " \x1d\t", "\x1e"])
+
 _param_line = st.tuples(
-    st.sampled_from(["G0", "G1", "G1", "G92", "M82", "M104", "M106", "G28"]),
+    st.sampled_from(
+        ["G0", "G1", "G1", "G92", "M82", "M104", "M106", "G28", "G10", "G01", "E5", "X12"]
+    ),
     st.lists(st.tuples(st.sampled_from("XYZEFS"), _number), max_size=5, unique_by=lambda t: t[0]),
-    st.sampled_from(["", " ", "\t"]),
-    st.sampled_from(["", " ;move", "\t; inner ; text", ";"]),
-).map(lambda t: t[2] + " ".join([t[0], *(f"{k}{v}" for k, v in t[1])]) + t[3])
+    _edge_space,
+    st.sampled_from([" ", "\t", " \t"]),
+    st.sampled_from(["", " ;move", "\t; inner ; text", ";", "; X1 E2.5 LAYER:3"]),
+    _edge_space,
+).map(lambda t: t[2] + t[3].join([t[0], *(f"{k}{v}" for k, v in t[1])]) + t[4] + t[5])
 
 # None marks a layer comment; its number is filled in increasing order.
 _any_line = st.one_of(
     _param_line,
     _param_line,
-    st.sampled_from(["", " ", "\t \t", ";TYPE:WALL", " ;LAYER:x", ";LAYER:-1", ";"]),
+    st.sampled_from(
+        ["", " ", "\t \t", "\x0b\x1c", ";TYPE:WALL", " ;LAYER:x", ";LAYER:-1", ";", ";LAYER:2 x"]
+    ),
     st.just(None),
 )
 
+_LAYER_MARKS = [
+    ";LAYER:{}", "  ;LAYER:{}  ", "\x0c;\x1dLAYER:{}\x1f", "\t; LAYER:{}\x0b", ";LAYER:00{}"
+]
 
-@st.composite
-def _documents(draw):
+# One fault per kind that scan reports, each as a line or a line's text.
+_FAULTS = {
+    "grammar": ["G1 X", "not gcode", "G1 X1.2.3", "G1\x0bX1", "G1 X1\x0b;c", "g1 X1", "G1 X1e3"],
+    "m83": ["M83", " M83 ;relative"],
+    "duplicate": ["G1 X1 Y2 X3", "G92 E0 E0", "E5 E1 E2"],
+    "layer": [";LAYER:0", ";LAYER:0\n;LAYER:0"],
+    "bare-cr": ["G1 X1\rG1 X2", "\r;note", "\r\r"],
+    "non-ascii": ["G1 X1 ;\u00b5", "\u00e9"],
+}
+
+
+def _lines(draw) -> list[str]:
     lines = draw(st.lists(_any_line, min_size=10, max_size=60))
     layer = draw(st.integers(0, 5))
     for i, line in enumerate(lines):
         if line is None:
-            lines[i] = draw(st.sampled_from([";LAYER:{}", "  ;LAYER:{}  "])).format(layer)
+            lines[i] = draw(st.sampled_from(_LAYER_MARKS)).format(layer)
             layer += draw(st.integers(1, 3))
+    return lines
+
+
+def _join(draw, lines: list[str]) -> bytes | str:
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
     if lines and draw(st.booleans()):
         text = text[: -len(ends[-1])]  # no final newline
-    return text.encode("ascii") if draw(st.booleans()) else text
+    return text.encode("utf-8") if draw(st.booleans()) else text
+
+
+@st.composite
+def _documents(draw):
+    return _join(draw, _lines(draw))
+
+
+@st.composite
+def _faulted_documents(draw):
+    """A valid document with one fault, of a drawn kind, put in at a drawn line."""
+    lines = _lines(draw)
+    kind = draw(st.sampled_from(sorted(_FAULTS)))
+    fault = draw(st.sampled_from(_FAULTS[kind]))
+    if kind == "layer":  # after a mark at least as high, wherever it goes
+        fault = f";LAYER:9\n{fault}"
+    at = draw(st.integers(0, len(lines)))
+    return _join(draw, lines[:at] + [fault] + lines[at:])
+
+
+def exact(summary: PrintSummary) -> PrintSummary:
+    """``summary`` with each float as its repr, so that -0.0 and 0.0 differ."""
+    return dataclasses.replace(
+        summary,
+        final_e=repr(summary.final_e),
+        total_extruded=repr(summary.total_extruded),
+        bounds={axis: repr(bound) for axis, bound in summary.bounds.items()},
+    )
+
+
+def _other_type(data: bytes | str) -> bytes | str:
+    return data.decode("ascii") if isinstance(data, bytes) else data.encode("ascii")
 
 
 @given(_documents())
@@ -368,9 +433,62 @@ def test_property_scan_fold_equals_parsed_fold(data):
     assert list(doc) == list(scan(data))
     assert extract(scan(data)) == extract(doc)
     assert simulate(scan(data)) == simulate(doc) == plain_simulate(doc)
+    reference = exact(plain_simulate(scan(data)))
+    assert exact(simulate(data)) == exact(simulate(_other_type(data))) == reference
+    assert exact(simulate(doc)) == reference
     assert simulate(doc).layer_count == len(doc.layer_marks)
+    state = PrinterState()
+    for _, _, code, params, _, _ in doc:
+        state.apply(code, params)
+    assert (repr(state.e), repr(state.extruded)) == (reference.final_e, reference.total_extruded)
     normalized = data if isinstance(data, bytes) else data.encode("ascii")
     assert serialize(doc) == normalized.replace(b"\r\n", b"\n")
+
+
+def _scan_message(data: bytes | str) -> str:
+    with pytest.raises(MalformedFileError) as scanned:
+        list(scan(data, source_path="p.gcode"))
+    return str(scanned.value)
+
+
+@given(_faulted_documents())
+def test_property_fault_raises_scan_message(data):
+    with pytest.raises(MalformedFileError) as folded:
+        simulate(data, source_path="p.gcode")
+    assert str(folded.value) == _scan_message(data)
+
+
+@pytest.mark.parametrize("size", [1, 7, 40])
+@given(data=st.one_of(_documents(), _faulted_documents()))
+def test_property_slices_of_any_size_fold_alike(size, data):
+    try:
+        expected = exact(plain_simulate(scan(data, source_path="p.gcode")))
+    except MalformedFileError as exc:
+        expected = str(exc)
+    with mock.patch.object(gcode, "_SLICE_BYTES", size):
+        try:
+            got = exact(simulate(data, source_path="p.gcode"))
+        except MalformedFileError as exc:
+            got = str(exc)
+    assert got == expected
+
+
+def test_fold_memory_does_not_grow_with_the_file():
+    one = serialize(build_specimen(preset_spec("D2"), angle_deg=10.0, seed=3))
+    # Plain comments in place of layer marks, so that the copies stay valid.
+    one = one.replace(b";LAYER:", b";layer:")
+    eight = one * 8
+
+    def peak(data: bytes) -> int:
+        tracemalloc.start()
+        try:
+            simulate(data)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert simulate(eight).total_lines == 8 * simulate(one).total_lines
+    assert peak(eight) < 2 * peak(one)
 
 
 def test_scan_records():
@@ -418,6 +536,6 @@ def test_scan_records():
 def test_scan_and_parse_raise_the_same_message(data, message):
     with pytest.raises(MalformedFileError) as parsed:
         parse_document(data, source_path="p.gcode")
-    with pytest.raises(MalformedFileError) as scanned:
-        list(scan(data, source_path="p.gcode"))
-    assert str(parsed.value) == str(scanned.value) == message
+    with pytest.raises(MalformedFileError) as folded:
+        simulate(data, source_path="p.gcode")
+    assert str(parsed.value) == _scan_message(data) == str(folded.value) == message
