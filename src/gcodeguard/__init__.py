@@ -9,7 +9,6 @@ and clustering detectors, and score the flags against ground truth.
 from .gcode import (
     GcodeDocument,
     MalformedFileError,
-    MalformedLineError,
     parse_document,
     serialize,
     simulate,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GcodeDocument",
     "MalformedFileError",
-    "MalformedLineError",
     "parse_document",
     "serialize",
     "simulate",

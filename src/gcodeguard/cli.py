@@ -309,9 +309,15 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     flags_dir = Path(args.flags)
-    flag_sets = [FlagSet.load(p) for p in sorted(flags_dir.glob("*.json"))]
+    paths = sorted(flags_dir.glob("*.json"))
+    flag_sets = [FlagSet.load(p) for p in paths]
     if not flag_sets:
         raise ValueError(f"no flag sets under {flags_dir}")
+    owners: dict[str, Path] = {}
+    for path, fs in zip(paths, flag_sets):
+        first = owners.setdefault(fs.detector, path)
+        if first != path:
+            raise ValueError(f"{path}: names detector {fs.detector!r}, as {first} does")
     truth = read_record(args.truth, CompromisePlan.from_json_dict)
     manifest = DatasetManifest.load(args.manifest)
     _print_confusions(evaluate_flags(flag_sets, truth, manifest, Path(args.out)))

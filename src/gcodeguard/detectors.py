@@ -96,6 +96,10 @@ class FlagSet:
     def _from_json(data: dict) -> "FlagSet":
         detector, parameters = data["detector"], data["parameters"]
         flagged, scores = data["flagged"], data["scores"]
+        if not (isinstance(detector, str) and detector):
+            raise ValueError("detector must be a non-empty string")
+        if not isinstance(parameters, dict):
+            raise ValueError("parameters must be a JSON object")
         if not (isinstance(flagged, list) and all(isinstance(p, str) for p in flagged)):
             raise ValueError("flagged must be a list of path strings")
         if not (isinstance(scores, dict) and all(
@@ -610,15 +614,18 @@ def _options(name: str, overrides: object) -> dict:
 
 def check_detectors(names: tuple[str, ...], params: object) -> None:
     """Raise ``ValueError`` unless ``names`` names at least one detector, each
-    one known, and ``params`` maps detector names to dicts of overrides that detector
-    takes, each in range: ``threshold``, ``bandwidth`` and ``eps`` are
-    finite numbers > 0, ``min_fraction`` is a number in [0, 1) and
-    ``min_samples`` an int >= 1. Numbers are Python ints and floats
-    (``np.float64`` is one), not bools; a key left out keeps its default."""
+    one known and named once, and ``params`` maps detector names to dicts of
+    overrides that detector takes, each in range: ``threshold``,
+    ``bandwidth`` and ``eps`` are finite numbers > 0, ``min_fraction`` is a
+    number in [0, 1) and ``min_samples`` an int >= 1. Numbers are Python
+    ints and floats (``np.float64`` is one), not bools; a key left out keeps
+    its default."""
     if not names:
         raise ValueError("detectors must be a non-empty list of names")
-    for name in names:
+    for i, name in enumerate(names):
         _options(name, {})
+        if name in names[:i]:
+            raise ValueError(f"detector named twice: {name!r}")
     if not isinstance(params, dict):
         raise ValueError(f"detector params must be a JSON object, got {type(params).__name__}")
     for name, overrides in params.items():

@@ -16,8 +16,9 @@ separated by single spaces, parameters in their original order.
 
 ``scan`` is the one line scanner and its record the one line type. It
 makes every check on a file (ASCII, line ends, grammar, ``M83``, duplicate
-letters, increasing layer marks) and yields one plain tuple per line, and
-it is the one place that names a fault. A ``GcodeDocument`` is those
+letters, increasing layer marks) and yields one plain tuple per line,
+``(raw_text, code, params, comment, layer)``, and it is the one place that
+names a fault, in a ``MalformedFileError``. A ``GcodeDocument`` is those
 records held in order, for code that edits or re-serializes a file.
 
 ``simulate`` is the one fold that counts. It reads a file's bytes or text
@@ -34,7 +35,6 @@ rejected at scan time rather than silently misinterpreted.
 
 from __future__ import annotations
 
-import enum
 import operator
 import re
 from collections import Counter
@@ -45,45 +45,18 @@ from typing import Iterable, Iterator
 import numpy as np
 
 __all__ = [
-    "MalformedLineError",
     "MalformedFileError",
-    "LineKind",
     "GcodeDocument",
-    "PrinterState",
     "PrintSummary",
     "scan",
     "parse_document",
     "serialize",
     "simulate",
-    "count_decimals",
 ]
-
-
-class MalformedLineError(ValueError):
-    """A single line does not match the accepted grammar."""
-
-    def __init__(self, message: str, text: str = "", line_index: int | None = None):
-        # line_index is 0-based like document line lists; messages are 1-based.
-        location = f" (line {line_index + 1})" if line_index is not None else ""
-        super().__init__(f"{message}{location}: {text!r}")
-        self.message = message
-        self.text = text
-        self.line_index = line_index
-
-    def __reduce__(self):
-        # Rebuild from the constructor's arguments, not the formatted text,
-        # so a copy sent between processes has the same message.
-        return type(self), (self.message, self.text, self.line_index)
 
 
 class MalformedFileError(ValueError):
     """A document-level failure: undecodable bytes or an unparseable line."""
-
-
-class LineKind(enum.Enum):
-    COMMAND = "command"
-    COMMENT = "comment"
-    BLANK = "blank"
 
 
 # The grammar's fragments, written once: the line scanner's patterns and the
@@ -129,48 +102,6 @@ _NUMBERS_ONLY = bytes.maketrans(
 )
 
 
-def count_decimals(number_text: str) -> int:
-    """Number of digits after the decimal point in a numeric token.
-
-    ``"2.00000"`` -> 5, ``"2.0"`` -> 1, ``"2"`` -> 0. The count is textual:
-    trailing zeros are significant here even though they do not change the
-    float value.
-    """
-    dot = number_text.find(".")
-    return 0 if dot < 0 else len(number_text) - dot - 1
-
-
-def _layer_of(comment: str) -> int | None:
-    m = _LAYER_MARK_RE.fullmatch(comment.strip())
-    return int(m.group(1)) if m else None
-
-
-def _scan_line(text: str, line_index: int) -> tuple:
-    """The scan record of one line without newline characters.
-
-    Raises ``MalformedLineError`` on grammar violations, ``M83`` and
-    duplicate parameter letters.
-    """
-    stripped = text.strip()
-    if not stripped:
-        return (text, LineKind.BLANK, None, (), None, None)
-    if stripped[0] == ";":
-        comment = stripped[1:]
-        return (text, LineKind.COMMENT, None, (), comment, _layer_of(comment))
-    m = _COMMAND_RE.fullmatch(stripped)
-    if m is None:
-        raise MalformedLineError("unrecognized line syntax", text, line_index)
-    code, param_text, comment = m.groups()
-    if code == "M83":
-        raise MalformedLineError(
-            "relative extrusion (M83) is outside the supported subset", text, line_index
-        )
-    params = tuple(_PARAM_RE.findall(param_text))
-    if len(dict(params)) != len(params):
-        raise MalformedLineError("duplicate parameter letter", text, line_index)
-    return (text, LineKind.COMMAND, code, params, comment, None)
-
-
 @dataclass(frozen=True, slots=True)
 class GcodeDocument:
     """A file's ``scan`` records, in order.
@@ -192,18 +123,20 @@ class GcodeDocument:
     @property
     def layer_marks(self) -> tuple[tuple[int, int], ...]:
         """``(line index, layer)`` of each ``;LAYER:<n>`` mark, in order."""
-        return tuple((i, r[5]) for i, r in enumerate(self.lines) if r[5] is not None)
+        return tuple((i, r[4]) for i, r in enumerate(self.lines) if r[4] is not None)
 
 
 def scan(data: bytes | str, source_path: str | None = None) -> Iterator[tuple]:
     """Check a whole file and yield one plain record per line, in order.
 
-    A record is ``(raw_text, kind, code, params, comment, layer)``: ``params``
-    is ``((letter, text), ...)`` with each number's source text, ``code`` is
-    ``None`` for comments and blanks, and ``layer`` is the number of a
-    ``;LAYER:<n>`` mark, else ``None``. Accepts bytes or str; either must be
-    ASCII. CRLF line ends become LF. Raises ``MalformedFileError`` carrying
-    the first offending line, if any, once iteration reaches it.
+    A record is ``(raw_text, code, params, comment, layer)``: ``code`` is
+    ``None`` on a comment or blank line, ``params`` is ``((letter, text),
+    ...)`` with each number's source text, ``comment`` is the text after the
+    ``;`` (``None`` when there is none, so a blank line has neither code nor
+    comment), and ``layer`` is the number of a ``;LAYER:<n>`` mark, else
+    ``None``. Accepts bytes or str; either must be ASCII. CRLF line ends
+    become LF. Raises ``MalformedFileError`` naming the first offending
+    line, if any, once iteration reaches it.
     """
     name = source_path or "<data>"
     if isinstance(data, bytes):
@@ -222,21 +155,38 @@ def scan(data: bytes | str, source_path: str | None = None) -> Iterator[tuple]:
     raw_lines = text.split("\n")
     if raw_lines[-1] == "":
         raw_lines.pop()
-    last_layer = None
+    last_layer = -1
     for i, raw in enumerate(raw_lines):
-        try:
-            record = _scan_line(raw, i)
-        except MalformedLineError as exc:
-            raise MalformedFileError(f"{name}: {exc}") from exc
-        layer = record[5]
-        if layer is not None:
-            if last_layer is not None and layer <= last_layer:
-                raise MalformedFileError(
-                    f"{name}: layer markers not increasing "
-                    f"({last_layer} then {layer} at line {i + 1})"
-                )
-            last_layer = layer
-        yield record
+        stripped = raw.strip()
+        if not stripped:
+            yield (raw, None, (), None, None)
+            continue
+        if stripped[0] == ";":
+            comment = stripped[1:]
+            m = _LAYER_MARK_RE.fullmatch(comment.strip())
+            layer = None
+            if m:
+                layer = int(m.group(1))
+                if layer <= last_layer:
+                    raise MalformedFileError(
+                        f"{name}: layer markers not increasing "
+                        f"({last_layer} then {layer} at line {i + 1})"
+                    )
+                last_layer = layer
+            yield (raw, None, (), comment, layer)
+            continue
+        m = _COMMAND_RE.fullmatch(stripped)
+        if m is None:
+            fault = "unrecognized line syntax"
+        elif m["code"] == "M83":
+            fault = "relative extrusion (M83) is outside the supported subset"
+        else:
+            params = tuple(_PARAM_RE.findall(m["params"]))
+            if len(dict(params)) == len(params):
+                yield (raw, m["code"], params, m["comment"], None)
+                continue
+            fault = "duplicate parameter letter"
+        raise MalformedFileError(f"{name}: {fault} (line {i + 1}): {raw!r}")
 
 
 def parse_document(data: bytes | str, source_path: str | None = None) -> GcodeDocument:
@@ -263,42 +213,6 @@ def serialize(doc: GcodeDocument) -> bytes:
     return body.encode("ascii")
 
 
-@dataclass(slots=True)
-class PrinterState:
-    """Mutable machine registers, advanced one command at a time by ``apply``.
-
-    ``apply`` moves the registers command by command, for code that edits a
-    document; ``simulate`` folds the same rule over whole slices, and the
-    tests hold the two equal. Extrusion is absolute (M82): a G1 with E
-    contributes ``max(0, E_target - E_register)`` of filament, then the
-    register jumps to the target. G0 and G92 set the named registers without
-    extruding; every other command leaves them alone.
-    """
-
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-    e: float = 0.0
-    extruded: float = 0.0
-
-    def apply(self, code: str | None, params: Iterable[tuple[str, str]]) -> None:
-        """Apply one command given its code and ``(letter, text)`` parameters."""
-        if code not in ("G0", "G1", "G92"):
-            return
-        for letter, text in params:
-            if letter == "X":
-                self.x = float(text)
-            elif letter == "Y":
-                self.y = float(text)
-            elif letter == "Z":
-                self.z = float(text)
-            elif letter == "E":
-                e = float(text)
-                if code == "G1":
-                    self.extruded += max(0.0, e - self.e)
-                self.e = e
-
-
 @dataclass(frozen=True, slots=True)
 class PrintSummary:
     """Aggregates produced by one simulation pass over a document."""
@@ -319,9 +233,11 @@ def simulate(
 ) -> PrintSummary:
     """Fold a file's bytes or text, or its ``scan`` records, into a ``PrintSummary``.
 
-    Records, a document or ``scan`` itself, are joined back into text. The
-    registers follow ``PrinterState.apply``. Bounds cover only axis values
-    named explicitly on G0/G1 moves; modal carry-over never widens them. The
+    Records, a document or ``scan`` itself, are joined back into text.
+    Extrusion is absolute (M82): G0, G1 and G92 set the E register to their
+    E parameter, and a G1 adds ``max(0, E - register)`` to the extruded
+    total first. Bounds cover only axis values named explicitly on G0/G1
+    moves; modal carry-over never widens them. The
     E-decimal histogram counts the textual decimal places of every E
     parameter on any command, G92 included. Raises what ``scan`` raises,
     naming ``source_path``.

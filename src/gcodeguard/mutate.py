@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Mapping
 
-from .gcode import GcodeDocument, LineKind, PrinterState, simulate
+from .gcode import GcodeDocument, simulate
 from .synthgen import DatasetManifest
 
 __all__ = [
@@ -145,7 +145,17 @@ def _command(code: str, params: tuple, comment: str | None = None) -> tuple:
     parts = [code, *(letter + text for letter, text in params)]
     if comment is not None:
         parts.append(f";{comment}")
-    return (" ".join(parts), LineKind.COMMAND, code, params, comment, None)
+    return (" ".join(parts), code, params, comment, None)
+
+
+def _moved_e(e: float, code: str | None, params: tuple) -> float:
+    """The E register after one command: G0, G1 and G92 set it to their
+    ``E`` parameter, as ``simulate`` folds it; other commands leave it."""
+    if code in ("G0", "G1", "G92"):
+        for letter, text in params:
+            if letter == "E":
+                return float(text)
+    return e
 
 
 def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocument, MutationLog]:
@@ -157,14 +167,14 @@ def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocumen
     span = select_range(doc, strategy.range_mode)
     sid = strategy.strategy_id
     # E registers of the original and of the rewritten stream. Only ID3 reads
-    # them; it sets ``new.e`` to each unrounded target it writes.
-    orig, new = PrinterState(), PrinterState()
+    # them; it sets ``new_e`` to each unrounded target it writes.
+    orig_e = new_e = 0.0
     prev_e = None  # original E of the latest extruding move in range
     moves = 0
     targets: list[int] = []
     new_lines: list[tuple] = []
     for i, record in enumerate(doc.lines):
-        _, _, code, params, comment, _ = record
+        _, code, params, comment, _ = record
         move_e = None
         if code == "G1" and i in span:
             move_e = next((float(text) for letter, text in params if letter == "E"), None)
@@ -172,7 +182,7 @@ def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocumen
             moves += 1
         if move_e is None or (sid != "ID3" and moves % 4):
             new_lines.append(record)
-            new.apply(code, params)
+            new_e = _moved_e(new_e, code, params)
         else:
             targets.append(i)
             if sid in ("ID1", "ID2"):
@@ -182,15 +192,15 @@ def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocumen
                     new_lines.append(_command("G1", (("E", format_minimal(move_e)),)))
             elif sid != "ID6":  # ID6 drops the target
                 if sid == "ID3":
-                    new.e += (move_e - orig.e) / 2.0
-                    text = f"{new.e:.5f}"
+                    new_e += (move_e - orig_e) / 2.0
+                    text = f"{new_e:.5f}"
                 else:
                     # Targets are 4 moves apart, so the previous move exists
                     # and was not itself rewritten.
                     text = format_minimal(prev_e if sid == "ID4" else prev_e + 0.0001)
                 rewritten = tuple(("E", text) if q[0] == "E" else q for q in params)
                 new_lines.append(_command(code, rewritten, comment))
-        orig.apply(code, params)
+        orig_e = _moved_e(orig_e, code, params)
         if move_e is not None:
             prev_e = move_e
     if not targets:
@@ -205,7 +215,7 @@ def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocumen
         lines_rewritten=0 if sid == "ID6" else len(targets),
         lines_deleted=len(targets) if sid == "ID6" else 0,
         lines_inserted=len(targets) if sid == "ID2" else 0,
-        original_final_e=orig.e,
+        original_final_e=orig_e,
         mutated_final_e=simulate(mutated).final_e,
     )
     return mutated, log
@@ -227,13 +237,17 @@ class CompromisePlan:
 
     @staticmethod
     def from_json_dict(data: dict) -> "CompromisePlan":
-        return CompromisePlan(
+        plan = CompromisePlan(
             dataset_id=data["dataset_id"],
             seed=int(data["seed"]),
             victims=tuple(
                 VictimAssignment(v["path"], v["strategy"]) for v in data["victims"]
             ),
         )
+        for victim in plan.victims:
+            if victim.strategy not in STRATEGY_IDS:
+                raise ValueError(f"unknown strategy in victims: {victim.strategy!r}")
+        return plan
 
 
 def check_victims(counts: Mapping[str, int], file_count: int) -> None:

@@ -409,6 +409,10 @@ STRICT_CONFIGS = [
         {"preset": "d1", "detectors": "dbscan"},
         "bad config value: detectors must be a non-empty list of names, got 'dbscan'",
     ),
+    (
+        {"preset": "d1", "detectors": ["single_stat", "dbscan", "single_stat"]},
+        "detector named twice: 'single_stat'",
+    ),
 ]
 
 
@@ -431,6 +435,16 @@ MALFORMED_EVALUATE_INPUTS = [
     ("flags/single_stat.json",
      {"detector": "single_stat", "parameters": {}, "flagged": [], "scores": {"a.gcode": "1.5"}},
      "scores must map paths to numbers"),
+    ("flags/single_stat.json", {"detector": ["x"], "parameters": {}, "flagged": [], "scores": {}},
+     "detector must be a non-empty string"),
+    ("flags/single_stat.json", {"detector": 5, "parameters": {}, "flagged": [], "scores": {}},
+     "detector must be a non-empty string"),
+    ("flags/single_stat.json",
+     {"detector": "single_stat", "parameters": [], "flagged": [], "scores": {}},
+     "parameters must be a JSON object"),
+    ("truth.json",
+     {"dataset_id": "D1", "seed": 1, "victims": [{"path": "a.gcode", "strategy": "ID9"}]},
+     "unknown strategy in victims: 'ID9'"),
 ]
 
 
@@ -609,6 +623,24 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
 
+    def test_evaluate_refuses_two_flag_sets_of_one_detector(self, cli_pipeline, tmp_path,
+                                                             capsys):
+        flags = tmp_path / "flags"
+        shutil.copytree(cli_pipeline / "flags", flags)
+        dbscan = json.loads((flags / "dbscan.json").read_text())
+        (flags / "dbscan.json").write_text(json.dumps({**dbscan, "detector": "single_stat"}))
+        out = tmp_path / "report"
+        assert main([
+            "evaluate", "--flags", str(flags),
+            "--truth", str(cli_pipeline / "truth" / "truth.json"),
+            "--manifest", str(cli_pipeline / "blind" / "manifest.json"), "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flags / 'single_stat.json'}: names detector 'single_stat', "
+            f"as {flags / 'dbscan.json'} does\n"
+        )
+        assert not out.exists()
+
     def test_evaluate_without_flags(self, tmp_path):
         empty = tmp_path / "flags"
         empty.mkdir()
@@ -674,9 +706,18 @@ class TestPooledStages:
         assert main(["detect", "--src", str(src), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         first = names[min(m83_at, ff_at)]
-        reason = "relative extrusion (M83)" if m83_at < ff_at else "not ASCII"
-        assert err.startswith(f"error: {first}: ") and reason in err
-        assert err.count("\n") == 1
+        data = (src / first).read_bytes()
+        if m83_at < ff_at:
+            lines = data.count(b"\n")
+            reason = (
+                f"relative extrusion (M83) is outside the supported subset (line {lines}): 'M83'"
+            )
+        else:
+            reason = (
+                f"not ASCII: 'ascii' codec can't decode byte 0xff in position "
+                f"{len(data) - 1}: ordinal not in range(128)"
+            )
+        assert err == f"error: {first}: {reason}\n"
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
