@@ -1,17 +1,20 @@
 """Ordered map over independent items, on every usable core.
 
-``map_ordered(fn, items)`` returns ``[fn(x) for x in items]``. When there
-are enough items to keep at least two workers busy, it runs ``fn`` in
-``spawn``-started worker processes; otherwise it runs in the calling
-process. Results keep input order, and when items fail, the exception of
-the earliest failing item is the one raised.
+``map_ordered(fn, items)`` returns ``[fn(x) for x in items]``. On Linux,
+when there are enough items to keep at least two workers busy, it runs
+``fn`` in worker processes forked from the caller; otherwise, and on every
+other platform, it runs in the calling process. Results keep input order,
+and when items fail, the exception of the earliest failing item is the one
+raised.
 
 ``fn`` and every item must pickle: ``fn`` is a module-level function (or a
-``functools.partial`` of one), and the workers re-import the program,
-including the caller's ``__main__`` module, so scripts that call this
-guard their entry point with ``if __name__ == "__main__"``. A ``__main__``
-that workers cannot re-import, such as a script piped into ``python -``,
-runs everything in the calling process.
+``functools.partial`` of one). A forked worker starts as a copy of the
+loaded program and imports nothing again, so the caller's ``__main__`` is
+never re-run and needs no entry-point guard. ``fork`` is left to Linux
+because CPython calls it unsafe on macOS and Windows has none. The workers
+run pure Python and numpy code that calls no BLAS, and
+``ProcessPoolExecutor`` forks them all before it starts its own manager
+thread.
 """
 
 from __future__ import annotations
@@ -23,14 +26,15 @@ from typing import Callable, Iterable, TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
-# Items one worker must have before it is worth starting. Starting two
-# workers that import the package takes 0.3-0.4 s of wall time on two
-# cores; generating a file takes about 13 ms and folding one into its
-# features 11-23 ms (d1 and D2 files), so two workers break even at 35-70
-# files. Measured on 60 files, two workers took 0.85-1.1 s against
-# 1.0-1.4 s in one process.
-FILES_PER_WORKER = 30
-# Items sent to a worker per round trip: 4 files are 45-90 ms of work, so
+# Items one worker must have before it is worth starting. Forking two
+# workers and shutting them down costs 7-10 ms of wall time on two cores;
+# generating a file takes 5-8 ms and folding one into its features 11-23 ms
+# (d1 and D2 files). Measured on two cores, two workers already won at 4
+# files each (generate 34 against 43 ms in one process, fold 68 against
+# 106 ms) and by 20-35% at 8 files each (74 against 92 ms, 164 against
+# 254 ms).
+FILES_PER_WORKER = 8
+# Items sent to a worker per round trip: 4 files are 20-90 ms of work, so
 # queueing costs little and the last chunks still spread over the workers.
 _CHUNK = 4
 
@@ -42,30 +46,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _main_reimportable() -> bool:
-    """Whether a ``spawn`` worker can re-import ``__main__``: by module name,
-    from its file, or not at all because it has no file (``python -c``).
-
-    A script read from standard input has ``__file__ == "<stdin>"``, which
-    a worker would try to run as a path and die on.
-    """
-    main = sys.modules["__main__"]
-    path = getattr(main, "__file__", None)
-    return getattr(main, "__spec__", None) is not None or path is None or os.path.isfile(path)
-
-
 def map_ordered(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     """``[fn(x) for x in items]``, spread over worker processes when it pays."""
     items = list(items)
     workers = min(_usable_cpus(), len(items) // FILES_PER_WORKER)
-    if workers < 2 or not _main_reimportable():
+    if workers < 2 or sys.platform != "linux":
         return [fn(x) for x in items]
     # Imported here so that a run too small for workers, and every start-up,
     # pays nothing for them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         return list(pool.map(fn, items, chunksize=_CHUNK))
     finally:

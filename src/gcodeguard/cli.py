@@ -17,6 +17,7 @@ paths; the single timestamp lives in ``run_metadata.json``.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -337,6 +338,9 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     original, blind, truth_dir, flags_dir, report_dir = dirs
     generate_corpus(cfg, original)
     manifest, truth = compromise_corpus(cfg, original, blind, truth_dir)
+    # CPython's tuple free lists keep the victims' freed scan records and pin
+    # their pages, which detect's forked workers would inherit too.
+    gc.collect()
     flag_sets = detect_corpus(blind, flags_dir, cfg.detectors, cfg.detector_params)
     report = evaluate_flags(flag_sets, truth, manifest, report_dir)
     write_json(out / "run_metadata.json", {

@@ -139,14 +139,16 @@ def build_matrix(vectors: list[FeatureVector] | tuple[FeatureVector, ...]) -> Fe
 
 def standardize(matrix: np.ndarray) -> np.ndarray:
     """Column-wise z-scores with population std; constant columns become 0."""
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
+    # Shift each column by its first value before taking moments. The
+    # differences of close values are exact, so a column whose values sit a
+    # few ulps apart keeps its spread: centring on the rounded mean of the
+    # raw values could put every row on one side (two adjacent floats would
+    # score 0 and sqrt(2) instead of -1 and 1), and a constant column
+    # shifts to exact zeros.
+    shifted = matrix - matrix[:1]
+    std = shifted.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
-    z = (matrix - mean) / std
-    # The rounded mean of a constant column can miss its value by one ulp,
-    # which would score every row +-1 instead of 0.
-    z[:, (matrix == matrix[:1]).all(axis=0)] = 0.0
-    return z
+    return (shifted - shifted.mean(axis=0)) / std
 
 
 def write_features_csv(fm: FeatureMatrix, path: str | Path) -> None:

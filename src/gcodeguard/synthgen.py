@@ -11,7 +11,13 @@ Determinism: a dataset is fully determined by (spec, count, angular_step,
 seed). The only randomness is a per-layer phase jitter for the infill grid,
 drawn from a ``random.Random`` seeded per file.
 
-Every E token is written with exactly 5 decimal places, X/Y/Z with 3.
+Every E token is written with exactly 5 decimal places, X/Y/Z with 3. E is
+the running sum of each extruding move's length times the flow, added move
+by move in file order. The emitter computes each run of moves (the skirt, a
+layer's perimeter, a layer's infill travel/extrude pairs) first and then
+formats the whole run with one ``%``-format of a repeated line template;
+``%.3f`` rounds exactly as the f-string ``:.3f`` does, so the text is the
+same as formatting one move at a time.
 """
 
 from __future__ import annotations
@@ -270,6 +276,30 @@ def build_specimen(spec: SpecimenSpec, angle_deg: float, seed: int) -> GcodeDocu
     return parse_document(_emit_specimen(spec, angle_deg, seed))
 
 
+# Line templates; a run of moves repeats one and fills it in one %-format.
+_EXTRUDE = "G1 X%.3f Y%.3f E%.5f\n"
+_INFILL_PAIR = "G0 X%.3f Y%.3f\n" + _EXTRUDE
+
+
+def _extrude_run(
+    origin: tuple[float, float],
+    points: list[tuple[float, float]],
+    flow: float,
+    e: float,
+    feed: int | None,
+) -> tuple[str, float]:
+    """The lines extruding from ``origin`` along ``points``, the first with
+    ``feed``, and the E register after them. E is summed move by move."""
+    values: list[float] = []
+    x, y = origin
+    for px, py in points:
+        e += math.hypot(px - x, py - y) * flow
+        values += (px, py, e)
+        x, y = px, py
+    head = _EXTRUDE if feed is None else f"G1 F{feed} X%.3f Y%.3f E%.5f\n"
+    return (head + _EXTRUDE * (len(points) - 1)) % tuple(values), e
+
+
 def _emit_specimen(spec: SpecimenSpec, angle_deg: float, seed: int) -> str:
     """The g-code text of one specimen, one command or comment per line."""
     spec.validate()
@@ -279,46 +309,13 @@ def _emit_specimen(spec: SpecimenSpec, angle_deg: float, seed: int) -> str:
     poly = _placed_footprint(spec, angle_deg)
     flow = spec.nozzle_width * spec.layer_height / _FILAMENT_AREA
 
-    out: list[str] = [
-        f";generated by gcodeguard v{GENERATOR_VERSION}",
-        f";specimen:{spec.name}",
-        "M140 S60",
-        "M104 S200",
-        "M105",
-        "G28",
-        "M82",
-        "G92 E0.00000",
-        "M106 S85",
+    out = [
+        f";generated by gcodeguard v{GENERATOR_VERSION}\n;specimen:{spec.name}\n"
+        "M140 S60\nM104 S200\nM105\nG28\nM82\nG92 E0.00000\nM106 S85\n"
     ]
     e = 0.0
-    x = y = 0.0
-
-    def travel(px: float, py: float, z: float | None = None, feed: int | None = None) -> None:
-        nonlocal x, y
-        words = ["G0"]
-        if feed is not None:
-            words.append(f"F{feed}")
-        words.append(f"X{px:.3f}")
-        words.append(f"Y{py:.3f}")
-        if z is not None:
-            words.append(f"Z{z:.3f}")
-        out.append(" ".join(words))
-        x, y = px, py
-
-    def extrude(px: float, py: float, feed: int | None = None) -> None:
-        nonlocal x, y, e
-        e += math.hypot(px - x, py - y) * flow
-        words = ["G1"]
-        if feed is not None:
-            words.append(f"F{feed}")
-        words.append(f"X{px:.3f}")
-        words.append(f"Y{py:.3f}")
-        words.append(f"E{e:.5f}")
-        out.append(" ".join(words))
-        x, y = px, py
-
-    perimeter = _tessellate_loop(poly, spec.perimeter_segment_length)
     start = poly[0]
+    perimeter = _tessellate_loop(poly, spec.perimeter_segment_length)
     direction_count = len(spec.infill_directions)
 
     for layer in range(spec.layer_count):
@@ -326,7 +323,7 @@ def _emit_specimen(spec: SpecimenSpec, angle_deg: float, seed: int) -> str:
         # random stream consumed for layer i does not depend on the angle.
         jitter = rng.uniform(0.0, spec.infill_line_distance)
         z = (layer + 1) * spec.layer_height
-        out.append(f";LAYER:{layer}")
+        out.append(f";LAYER:{layer}\n")
         if layer == 0:
             xs = [p[0] for p in poly]
             ys = [p[1] for p in poly]
@@ -337,24 +334,26 @@ def _emit_specimen(spec: SpecimenSpec, angle_deg: float, seed: int) -> str:
                 (max(xs) + m, max(ys) + m),
                 (min(xs) - m, max(ys) + m),
             ]
-            travel(*skirt[0], z=z, feed=TRAVEL_FEED)
-            for corner in skirt[1:] + skirt[:1]:
-                extrude(*corner, feed=PRINT_FEED if corner is skirt[1] else None)
-            travel(*start)
+            out.append("G0 F%d X%.3f Y%.3f Z%.3f\n" % (TRAVEL_FEED, *skirt[0], z))
+            text, e = _extrude_run(skirt[0], skirt[1:] + skirt[:1], flow, e, PRINT_FEED)
+            out.append(text)
+            out.append("G0 X%.3f Y%.3f\n" % start)
             first_feed = None
         else:
-            travel(*start, z=z, feed=TRAVEL_FEED)
+            out.append("G0 F%d X%.3f Y%.3f Z%.3f\n" % (TRAVEL_FEED, *start, z))
             first_feed = PRINT_FEED
-        for point in perimeter:
-            extrude(*point, feed=first_feed)
-            first_feed = None
+        text, e = _extrude_run(start, perimeter, flow, e, first_feed)
+        out.append(text)
         direction = spec.infill_directions[layer % direction_count]
-        for (p, q) in _infill_segments(poly, direction, spec.infill_line_distance, jitter):
-            travel(*p)
-            extrude(*q)
+        segments = _infill_segments(poly, direction, spec.infill_line_distance, jitter)
+        values: list[float] = []
+        for (px, py), (qx, qy) in segments:
+            e += math.hypot(qx - px, qy - py) * flow
+            values += (px, py, qx, qy, e)
+        out.append(_INFILL_PAIR * len(segments) % tuple(values))
 
-    out.extend(["M107", "M140 S0", "M104 S0", "M84"])
-    return "\n".join(out) + "\n"
+    out.append("M107\nM140 S0\nM104 S0\nM84\n")
+    return "".join(out)
 
 
 @dataclass(frozen=True)

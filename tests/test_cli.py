@@ -660,17 +660,21 @@ def tree_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+# Enough files to start workers, and to hold the hostile files at 17 and 45
+# in test_first_bad_file_fails_detect.
+POOLED_FILES = max(2 * _pool.FILES_PER_WORKER, 60)
+
+
 @pytest.fixture(scope="module")
 def pooled_corpus(tmp_path_factory):
     """(pooled, in_process): one tiny sweep large enough to start workers,
     generated once through the pool and once in-process."""
-    count = 2 * _pool.FILES_PER_WORKER
     root = tmp_path_factory.mktemp("pooled")
     pooled, in_process = root / "pooled", root / "in_process"
-    generate_dataset(TINY_SPEC, count, 6.0, pooled, seed=5, dataset_id="TINY")
+    generate_dataset(TINY_SPEC, POOLED_FILES, 6.0, pooled, seed=5, dataset_id="TINY")
     with pytest.MonkeyPatch.context() as mp:
         single_cpu(mp)
-        generate_dataset(TINY_SPEC, count, 6.0, in_process, seed=5, dataset_id="TINY")
+        generate_dataset(TINY_SPEC, POOLED_FILES, 6.0, in_process, seed=5, dataset_id="TINY")
     return pooled, in_process
 
 
@@ -681,7 +685,7 @@ class TestPooledStages:
 
     def test_generate_is_byte_identical(self, pooled_corpus):
         pooled, in_process = pooled_corpus
-        assert len(list(pooled.glob("*.gcode"))) == 2 * _pool.FILES_PER_WORKER
+        assert len(list(pooled.glob("*.gcode"))) == POOLED_FILES
         assert tree_bytes(pooled) == tree_bytes(in_process)
         assert multiprocessing.active_children() == []
 

@@ -1,5 +1,6 @@
 """The ordered process pool: input order, first error, no leftover workers,
-and scripts piped into ``python -`` that run in-process."""
+forked workers that run scripts without re-running them, and one process
+off Linux."""
 
 from __future__ import annotations
 
@@ -89,29 +90,72 @@ def test_too_few_items_run_in_process():
     assert {pid for pid, _ in outcome["result"]} == {os.getpid()}
 
 
-def test_script_piped_into_python_runs_in_process(tmp_path, monkeypatch):
-    # A worker cannot re-import a __main__ read from stdin ("<stdin>" is no
-    # file), so a pool started from one would die; the map runs in-process.
+def test_other_platforms_run_in_process(monkeypatch):
+    monkeypatch.setattr(sys, "platform", "darwin")
+    outcome = bounded_map(pid_and_square, list(range(POOLED)))
+    assert outcome["result"] == [(os.getpid(), x * x) for x in range(POOLED)]
+
+
+# A library script with no ``if __name__ == "__main__"`` guard, and a worker
+# function defined in it: forked workers find both in the copied program,
+# and the top-level print runs once.
+SCRIPT = """\
+import multiprocessing
+import os
+
+from gcodeguard import _pool
+from gcodeguard.cli import main
+
+
+def worker_pid(_):
+    return os.getpid()
+
+
+print("top level")
+assert main(["generate", "--config", {config!r}, "--out", "scripted"]) == 0
+print("in workers:", os.getpid() not in _pool.map_ordered(worker_pid, range({count})))
+print("children:", multiprocessing.active_children())
+"""
+
+
+def run_script(tmp_path, monkeypatch, piped):
+    """Run ``SCRIPT`` from standard input or from a file; check its output,
+    and that its corpus is the one generated in this process."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"preset": "d1", "count": POOLED}))
-    script = (
-        "from gcodeguard.cli import main\n"
-        f"raise SystemExit(main(['generate', '--config', {str(config)!r}, '--out', 'piped']))\n"
-    )
+    script = SCRIPT.format(config=str(config), count=POOLED)
     env = dict(os.environ, PYTHONPATH=str(Path(gcodeguard.__file__).parents[1]))
+    if piped:
+        argv, stdin = [sys.executable, "-"], script
+    else:
+        (tmp_path / "unguarded.py").write_text(script)
+        argv, stdin = [sys.executable, "unguarded.py"], None
     done = subprocess.run(
-        [sys.executable, "-"], input=script, text=True, capture_output=True,
-        cwd=tmp_path, env=env, timeout=WAIT_S,
+        argv, input=stdin, text=True, capture_output=True, cwd=tmp_path, env=env,
+        timeout=WAIT_S,
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert lines.count("top level") == 1
+    assert lines[-2:] == ["in workers: True", "children: []"]
 
     monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
     reference = tmp_path / "reference"
     assert main(["generate", "--config", str(config), "--out", str(reference)]) == 0
-    piped = tmp_path / "piped"
+    scripted = tmp_path / "scripted"
     names = sorted(p.name for p in reference.iterdir())
     assert len(names) == POOLED + 1
-    assert sorted(p.name for p in piped.iterdir()) == names
+    assert sorted(p.name for p in scripted.iterdir()) == names
     for name in names:
-        assert (piped / name).read_bytes() == (reference / name).read_bytes()
+        assert (scripted / name).read_bytes() == (reference / name).read_bytes()
+
+
+@needs_two_cpus
+def test_script_piped_into_python_runs_pooled(tmp_path, monkeypatch):
+    run_script(tmp_path, monkeypatch, piped=True)
+
+
+@needs_two_cpus
+def test_unguarded_script_file_runs_pooled(tmp_path, monkeypatch):
+    run_script(tmp_path, monkeypatch, piped=False)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -196,3 +197,34 @@ class TestGenerateDataset:
         monkeypatch.setattr(synthgen, "parse_document", refuse)
         manifest = generate_dataset(TINY_SPEC, 3, 45.0, tmp_path, seed=8, dataset_id="T")
         assert len(list(tmp_path.glob("*.gcode"))) == len(manifest.entries) == 3
+
+
+# sha256 of ``_emit_specimen`` text, computed with the generator that
+# formatted one move per f-string. Quarter turns take the exact rotation
+# branch; 1e6 degrees wraps to 280.
+EMITTED_SHA256 = [
+    ("D1", 0.0, 0, "a73962866c1ac6fc34860948d8a69adf454a3dbe4005f2e995cbf6347a754270"),
+    ("D1", 90.0, 7, "a4ad5429ac408f149ca9766d0735b9eea0d0a1e58889507f2cbf70d972c35393"),
+    ("D1", 180.0, 0, "ba70de3ed24fd801b0471bd8010a3263ec385a8533397d10678f7decda778d3c"),
+    ("D1", 270.0, 2**32 - 1, "f87e50463c81f6cd48ebf751fb254019bbaa6613fac7768abf9d8fff712b49fc"),
+    ("D1", 360.0, 7, "6ba7593bad74a73b88c7728b621078195a99c15c4024c3d4863a6c6d358d5cdd"),
+    ("D1", 0.25, 0, "1c0da8348d131b136ddff8e11c5147ffdca811d2b2766fa31c836241a0f97564"),
+    ("D1", 137.5, 2**32 - 1, "7528f48dc236920f08b1f5828af46cc516e47d9e00a9a904f72055eb022147fb"),
+    ("D1", -45.0, 7, "56a20eecef100f4e6b182d97d7ee791d3300efab8ea6b050e1f6ef7055a539af"),
+    ("D1", 1e6, 0, "3c314dddf49469a742e79341bd8beb6a5ea5e54e5fd963348c1d533c1129c551"),
+    ("D2", 0.0, 0, "9ab7ae3f485ad6f7d74e2d9bec9191d52411be33c9ba2f475f7f812ede237d51"),
+    ("D2", 90.0, 7, "3ad74d51bf7881a109212e58845badafbb929b8e068fbada0ce86d71706564e6"),
+    ("D2", 180.0, 0, "6537a423ef563ac30da0525e3414d3dc8f287e037ea37db06577a240b763e4e7"),
+    ("D2", 270.0, 2**32 - 1, "680d068fd601a3a475457bb0c17c660a00b1fdc9a03f83e2e7f593b30268f5a1"),
+    ("D2", 360.0, 7, "445f553d6e814695e7ba987b60909f6408156e96740941fb06c7e6222c520edb"),
+    ("D2", 0.25, 0, "f170e383a4585901066c3ea8d4a953fc991a4b96544b05e7a5ca7ceb8fbb1982"),
+    ("D2", 137.5, 2**32 - 1, "afff8555f09dc12f9fb3b30ba7ad59e54a7a837e34742b25aa955739cf8671a0"),
+    ("D2", -45.0, 7, "f6665028ee2ba0bd6547e023fc4207eff07877e2bf79816234e40a7e42f16e4b"),
+    ("D2", 1e6, 0, "0c82d839f9b1465ee93e4d410789b235d1fcec2abc171d5766cf5846da46ee57"),
+]
+
+
+@pytest.mark.parametrize("dataset_id, angle, seed, digest", EMITTED_SHA256)
+def test_emitted_bytes_match_history(dataset_id, angle, seed, digest):
+    text = synthgen._emit_specimen(preset_spec(dataset_id), angle, seed)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
