@@ -23,11 +23,14 @@ records held in order, for code that edits or re-serializes a file.
 
 ``simulate`` is the one fold that counts. It reads a file's bytes or text
 in slices of whole lines and folds each slice with compiled regular
-expressions and numpy, never line by line in Python: a slice pattern built
-from the same fragments as the scanner's checks the grammar, and fast
-checks cover the rest. When any of them fires, ``simulate`` runs ``scan``
-over the data, which raises the first fault's message. Records (a document
-or ``scan`` itself) are joined back into text and folded the same way.
+expressions and numpy, never line by line in Python. A line's shape, its
+text with the comment cut and each digit made 0, decides its grammar, its
+repeated letters and its E decimal places, so those are checked once per
+distinct shape in a slice, the grammar by a pattern built from the
+scanner's fragments. Each slice's numbers are read in one float pass. When
+a check fires, ``simulate`` runs ``scan`` over the data, which raises the
+first fault's message. Records (a document or ``scan`` itself) are joined
+back into text and folded the same way.
 
 Only absolute extrusion is supported. ``M83`` (relative extrusion) is
 rejected at scan time rather than silently misinterpreted.
@@ -81,24 +84,27 @@ _LAYER_MARK_RE = re.compile(rf"{_LAYER_MARK}\Z")
 # in one. A slice is about this many bytes, so that each pass's cost per call
 # is small and a slice's working set stays near 1 MB whatever the file size.
 _SLICE_BYTES = 1 << 16
-# One valid line, at the start of a line. Removing every match from a slice
-# leaves its first newline alone exactly when every line is valid. A line
-# parses one way only, so one that fails does so in linear time. (Matching
-# the slice as one repeated group would keep backtracking state for every
-# line: megabytes per slice.)
+# A line's shape is its text with its comment cut to the ";" and each digit
+# made 0. Every class of the grammar holds all ten digits or none, so a line is
+# valid exactly when its shape is, and its letters and E places are its shape's.
+_COMMENT_RE = re.compile(rb";[^\n]*")
+_ZERO_DIGITS = bytes.maketrans(b"123456789", b"0" * 9)
+# One valid line, at the start of a line. Removing every match from framed
+# shapes leaves the first newline alone exactly when every shape is valid. A
+# line parses one way only, so one that fails does so in linear time. (One
+# repeated group over all lines would keep backtracking state for each line.)
 _VALID_LINE_RE = re.compile(
     rf"(?<=\n){_WS}*(?:;[^\n]*|{_CODE}{_PARAMS}(?:[ \t]*;[^\n]*|{_WS}*))?\n".encode()
 )
+# One match per framed valid shape: "E" and the decimal places of its E
+# parameter, or two empty groups. An E code is its line's first letter.
+_E_PLACES_RE = re.compile(rb"\n[^A-Z;\n]*(?:[A-Z][^E;\n]*(E)?[-+]?0*\.?(0*))?")
 # Each non-blank line's code, or ";" for a comment line.
 _LINE_START_RE = re.compile(rf"\n{_WS}*({_CODE}|;)".encode())
 _LAYER_LINE_RE = re.compile(rf"\n{_WS}*;{_WS}*{_LAYER_MARK}{_WS}*(?=\n)".encode())
-_COMMENT_RE = re.compile(rb";[^\n]*")
-# Decimal places of each E number in comment-free text. A code that starts
-# with E matches too, with no decimals.
-_E_DECIMALS_RE = re.compile(rb"E[-+]?[0-9]*\.?([0-9]*)")
-# Leaves each token's number as a whitespace-separated word.
+# Leaves each token's number as a whitespace-separated word, comments cut.
 _NUMBERS_ONLY = bytes.maketrans(
-    bytes(range(ord("A"), ord("Z") + 1)) + b"\x1c\x1d\x1e\x1f", b" " * 30
+    bytes(range(ord("A"), ord("Z") + 1)) + b"\x1c\x1d\x1e\x1f;", b" " * 31
 )
 
 
@@ -166,7 +172,10 @@ def scan(data: bytes | str, source_path: str | None = None) -> Iterator[tuple]:
             m = _LAYER_MARK_RE.fullmatch(comment.strip())
             layer = None
             if m:
-                layer = int(m.group(1))
+                try:
+                    layer = int(m.group(1))
+                except ValueError:  # more digits than int() converts
+                    raise MalformedFileError(f"{name}: layer number too long (line {i + 1})")
                 if layer <= last_layer:
                     raise MalformedFileError(
                         f"{name}: layer markers not increasing "
@@ -268,14 +277,19 @@ def _whole_line_slices(data: bytes | str) -> Iterator[bytes | str]:
         start = end
 
 
-def _floats(numbers: list[bytes], mask: np.ndarray) -> list[float]:
-    return list(map(float, compress(numbers, mask.tolist())))
+def _tokens(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each token's letter, line and whether it is a parameter, not its line's
+    code, in text on the grammar with comments cut: every letter starts a token."""
+    chars = np.frombuffer(text, np.uint8)
+    tokens = np.flatnonzero((chars >= ord("A")) & (chars <= ord("Z")))
+    line = np.searchsorted(np.flatnonzero(chars == ord("\n")), tokens)
+    return chars[tokens], line, np.diff(line, prepend=-1) == 0
 
 
 def _fold(data: bytes | str) -> PrintSummary | None:
     """``simulate``'s fold, or None when a check fires: text that is not
-    ASCII, a bare carriage return, a line off the grammar, ``M83``, a
-    repeated parameter letter or a layer mark that does not increase."""
+    ASCII, a bare carriage return, a line off the grammar, ``M83``, a repeated
+    parameter letter or a layer number that is too long or does not increase."""
     if isinstance(data, str) and not data.isascii():
         return None
     counts: Counter[bytes] = Counter()
@@ -288,66 +302,68 @@ def _fold(data: bytes | str) -> PrintSummary | None:
         chunk = b"\n" + (piece.encode("ascii") if isinstance(piece, str) else piece)
         if b"\r" in chunk:
             chunk = chunk.replace(b"\r\n", b"\n")
-            if b"\r" in chunk:
-                return None
+        if b"\r" in chunk or not chunk.isascii():
+            return None
         if not chunk.endswith(b"\n"):
             chunk += b"\n"
-        if not chunk.isascii() or _VALID_LINE_RE.sub(b"", chunk) != b"\n":
+        text = _COMMENT_RE.sub(b";", chunk)
+        # The slice's own table of shapes: its size is bounded by the slice's.
+        shapes = Counter(text[1:-1].translate(_ZERO_DIGITS).split(b"\n"))
+        framed = b"\n" + b"\n".join(shapes) + b"\n"
+        # The grammar first: the token arrays assume it.
+        if _VALID_LINE_RE.sub(b"", framed) != b"\n":
             return None
-        lines += chunk.count(b"\n") - 1
-        heads = _LINE_START_RE.findall(chunk)
-        counts.update(heads)
-        marks = [int(mark) for mark in _LAYER_LINE_RE.findall(chunk)]
-        if not all(map(operator.lt, [last_layer, *marks], marks)):
-            return None
-        if marks:
-            layers += len(marks)
-            last_layer = marks[-1]
-
-        text = _COMMENT_RE.sub(b"", chunk)
-        histogram.update(map(len, _E_DECIMALS_RE.findall(text)))
-        # Every letter left starts a token: a line's code, then its parameters.
-        chars = np.frombuffer(text, np.uint8)
-        tokens = np.flatnonzero((chars >= ord("A")) & (chars <= ord("Z")))
-        if not tokens.size:
-            continue
-        letters = chars[tokens]
-        line = np.searchsorted(np.flatnonzero(chars == ord("\n")), tokens)
-        param = np.ones(tokens.size, bool)
-        param[0] = False
-        np.equal(line[1:], line[:-1], out=param[1:])
+        letters, line, param = _tokens(framed)
         keys = np.sort((line * 128 + letters)[param])
         if (keys[1:] == keys[:-1]).any():
             return None
+        places = _E_PLACES_RE.findall(framed, 0, len(framed) - 1)
+        for (has_e, digits), n in zip(places, shapes.values()):
+            if has_e:
+                histogram[len(digits)] += n
+        lines += chunk.count(b"\n") - 1
+        heads = _LINE_START_RE.findall(text)
+        counts.update(heads)
+        try:
+            marks = [last_layer, *map(int, _LAYER_LINE_RE.findall(chunk))]
+        except ValueError:  # more digits than int() converts
+            return None
+        if not all(map(operator.lt, marks, marks[1:])):
+            return None
+        layers += len(marks) - 1
+        last_layer = marks[-1]
+
+        letters, _, param = _tokens(text)
         # Each token's line code: the heads of the command lines, in order.
-        codes = np.array(heads)
+        codes = np.array(heads, "S")  # bytes, also when there are none
         codes = codes[codes != b";"][np.cumsum(~param) - 1]
         g1 = codes == b"G1"
         move = param & (g1 | (codes == b"G0"))
-        numbers = text.translate(_NUMBERS_ONLY).split()
-
         registered = param & (letters == ord("E")) & (move | (codes == b"G92"))
-        if registered.any():
-            targets = np.array(_floats(numbers, registered))
-            with np.errstate(invalid="ignore"):  # inf - inf, as the loop gives nan
-                steps = targets - np.append(e, targets[:-1])
-            steps = np.where(g1[registered] & (steps > 0.0), steps, 0.0)
-            # accumulate adds in order, so the total has the loop's bits.
-            extruded = np.add.accumulate(np.append(extruded, steps))[-1]
-            e = targets[-1]
+        # One float pass: the E targets, and the X, Y and Z (the last letters) of moves.
+        wanted = registered | (move & (letters >= ord("X")))
+        numbers = compress(text.translate(_NUMBERS_ONLY).split(), wanted.tolist())
+        values = np.array(list(map(float, numbers)))
+        letters = letters[wanted]
+
+        register = np.append(e, values[letters == ord("E")])
+        with np.errstate(invalid="ignore"):  # inf - inf, as the loop gives nan
+            steps = np.diff(register)
+        steps = np.where(g1[registered] & (steps > 0.0), steps, 0.0)
+        # accumulate adds in order, so the total has the loop's bits.
+        extruded = np.add.accumulate(np.append(extruded, steps))[-1]
+        e = register[-1]
         for axis in "XYZ":
-            values = _floats(numbers, move & (letters == ord(axis)))
-            if values:
-                lo, hi = min(values), max(values)
-                if axis in bounds:  # min and max keep the first of equal values
-                    lo, hi = min(bounds[axis][0], lo), max(bounds[axis][1], hi)
-                bounds[axis] = (lo, hi)
+            # The bounds so far, then this slice's values: argmin and argmax,
+            # like min and max, keep the first of equal values.
+            found = np.append(bounds.get(axis, ()), values[letters == ord(axis)])
+            if found.size:
+                bounds[axis] = tuple(found[[found.argmin(), found.argmax()]].tolist())
 
     if b"M83" in counts:
         return None
     comments = counts.pop(b";", 0)
     command_counts = {code.decode(): n for code, n in counts.items()}
-    histogram[0] -= sum(n for code, n in command_counts.items() if code[0] == "E")
     return PrintSummary(
         final_e=float(e),
         total_extruded=float(extruded),

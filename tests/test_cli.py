@@ -641,6 +641,20 @@ class TestErrorPaths:
         )
         assert not out.exists()
 
+    def test_oversized_layer_number_names_the_file(self, tiny_corpus, tmp_path, capsys):
+        # More digits than int() converts: a scan fault, not a bare ValueError.
+        src = tmp_path / "src"
+        shutil.copytree(tiny_corpus[0], src)
+        victim = sorted(src.glob("*.gcode"))[3]
+        lines = victim.read_bytes().count(b"\n")
+        with open(victim, "a") as fh:
+            fh.write(";LAYER:" + "9" * 4301 + "\n")
+        out = tmp_path / "flags"
+        assert main(["detect", "--src", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {victim.name}: layer number too long (line {lines + 1})\n"
+        assert not out.exists()
+
     def test_evaluate_without_flags(self, tmp_path):
         empty = tmp_path / "flags"
         empty.mkdir()

@@ -211,8 +211,10 @@ class TestCountDecimals:
         assert simulate(f"G1 E{text}\n").e_decimal_histogram == {expected: 1}
 
 
-# Bounded decimal text like the generator and mutator emit, and signed zeros
-# whose first occurrence decides the sign of a bound.
+# Bounded decimal text like the generator and mutator emit, signed zeros whose
+# first occurrence decides the sign of a bound, and runs of up to 25 digits on
+# either side of the dot, whose floats round in the last bit.
+_digits = st.text("0123456789", min_size=1, max_size=25)
 _number = st.one_of(
     st.sampled_from(["0.000", "-0.000", "0", "-0", "+0.0", ".0", "-.0"]),
     st.integers(min_value=-9999, max_value=9999).map(str),
@@ -220,6 +222,7 @@ _number = st.one_of(
         st.integers(min_value=-999, max_value=999),
         st.integers(min_value=0, max_value=999999),
     ).map(lambda t: f"{t[0]}.{t[1]:06d}"[: 4 + len(str(t[0]))]),
+    st.tuples(st.sampled_from(["", "-", "+"]), _digits, _digits).map("{0[0]}{0[1]}.{0[2]}".format),
 )
 
 
@@ -337,11 +340,13 @@ _edge_space = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", " 
 _param_line = st.tuples(
     st.sampled_from(
         ["G0", "G1", "G1", "G92", "M82", "M104", "M106", "G28", "G10", "G01", "E5", "X12"]
+        # Codes of M83's shape, which only the line's digits tell apart.
+        + ["M80", "M830", "M8"]
     ),
     st.lists(st.tuples(st.sampled_from("XYZEFS"), _number), max_size=5, unique_by=lambda t: t[0]),
     _edge_space,
     st.sampled_from([" ", "\t", " \t"]),
-    st.sampled_from(["", " ;move", "\t; inner ; text", ";", "; X1 E2.5 LAYER:3"]),
+    st.sampled_from(["", " ;move", "\t; inner ; text", ";", "; X1 E2.5 LAYER:3", ";M83"]),
     _edge_space,
 ).map(lambda t: t[2] + t[3].join([t[0], *(f"{k}{v}" for k, v in t[1])]) + t[4] + t[5])
 
@@ -351,6 +356,8 @@ _any_line = st.one_of(
     _param_line,
     st.sampled_from(
         ["", " ", "\t \t", "\x0b\x1c", ";TYPE:WALL", " ;LAYER:x", ";LAYER:-1", ";", ";LAYER:2 x"]
+        # M83 in a comment, and E codes that carry E decimals.
+        + [";M83", " ; M83", "E1 E2.5", "E0 X1 E.50"]
     ),
     st.just(None),
 )
@@ -365,6 +372,7 @@ _FAULTS = {
     "m83": ["M83", " M83 ;relative"],
     "duplicate": ["G1 X1 Y2 X3", "G92 E0 E0", "E5 E1 E2"],
     "layer": [";LAYER:0", ";LAYER:0\n;LAYER:0"],
+    "layer-digits": [";LAYER:" + "1" * 4301, " ; LAYER:0" + "9" * 4300],
     "bare-cr": ["G1 X1\rG1 X2", "\r;note", "\r\r"],
     "non-ascii": ["G1 X1 ;\u00b5", "\u00e9"],
 }
@@ -409,16 +417,28 @@ def _extruding_documents(draw):
     return _join(draw, lines)
 
 
-@st.composite
-def _faulted_documents(draw):
-    """A valid document with one fault, of a drawn kind, put in at a drawn line."""
+def _faulted_lines(draw) -> list[str]:
+    """Valid lines with one fault, of a drawn kind, put in at a drawn line."""
     lines = _lines(draw)
     kind = draw(st.sampled_from(sorted(_FAULTS)))
     fault = draw(st.sampled_from(_FAULTS[kind]))
     if kind == "layer":  # after a mark at least as high, wherever it goes
         fault = f";LAYER:9\n{fault}"
     at = draw(st.integers(0, len(lines)))
-    return _join(draw, lines[:at] + [fault] + lines[at:])
+    return lines[:at] + [fault] + lines[at:]
+
+
+@st.composite
+def _faulted_documents(draw):
+    return _join(draw, _faulted_lines(draw))
+
+
+@st.composite
+def _distinct_shape_documents(draw):
+    """A valid or faulted document in which no two lines share a shape: each
+    is led by a run of tabs of its own length, then a form feed."""
+    lines = _faulted_lines(draw) if draw(st.booleans()) else _lines(draw)
+    return _join(draw, ["\t" * i + "\x0c" + line for i, line in enumerate(lines)])
 
 
 def exact(summary: PrintSummary) -> PrintSummary:
@@ -477,19 +497,38 @@ def test_property_fault_raises_scan_message(data):
     assert str(folded.value) == _scan_message(data)
 
 
+def _outcome(fold, data: bytes | str) -> PrintSummary | str:
+    """``fold``'s exact summary of ``data``, or the message of the fault it raises."""
+    try:
+        return exact(fold(data, source_path="p.gcode"))
+    except MalformedFileError as exc:
+        return str(exc)
+
+
+def _plain_fold(data: bytes | str, source_path: str) -> PrintSummary:
+    return plain_simulate(scan(data, source_path=source_path))
+
+
 @pytest.mark.parametrize("size", [1, 7, 40])
 @given(data=st.one_of(_documents(), _faulted_documents()))
 def test_property_slices_of_any_size_fold_alike(size, data):
-    try:
-        expected = exact(plain_simulate(scan(data, source_path="p.gcode")))
-    except MalformedFileError as exc:
-        expected = str(exc)
+    expected = _outcome(_plain_fold, data)
     with mock.patch.object(gcode, "_SLICE_BYTES", size):
-        try:
-            got = exact(simulate(data, source_path="p.gcode"))
-        except MalformedFileError as exc:
-            got = str(exc)
-    assert got == expected
+        assert _outcome(simulate, data) == expected
+
+
+@given(_distinct_shape_documents())
+def test_property_distinct_shapes_fold_alike(data):
+    assert _outcome(simulate, data) == _outcome(_plain_fold, data)
+
+
+def _peak_fold_memory(data: bytes) -> int:
+    tracemalloc.start()
+    try:
+        simulate(data)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_fold_memory_does_not_grow_with_the_file():
@@ -497,17 +536,27 @@ def test_fold_memory_does_not_grow_with_the_file():
     # Plain comments in place of layer marks, so that the copies stay valid.
     one = one.replace(b";LAYER:", b";layer:")
     eight = one * 8
-
-    def peak(data: bytes) -> int:
-        tracemalloc.start()
-        try:
-            simulate(data)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     assert simulate(eight).total_lines == 8 * simulate(one).total_lines
-    assert peak(eight) < 2 * peak(one)
+    assert _peak_fold_memory(eight) < 2 * _peak_fold_memory(one)
+
+
+def _distinct_shape_moves(n: int) -> bytes:
+    """``n`` moves, no two of one shape: the length of each parameter's digit
+    run is one decimal digit of the move's index, plus one."""
+    return "".join(
+        "G1 " + " ".join(f"{letter}{'1' * (int(d) + 1)}" for letter, d in zip("XYZEF", f"{i:05d}"))
+        + "\n"
+        for i in range(n)
+    ).encode("ascii")
+
+
+def test_fold_memory_does_not_grow_with_distinct_shapes():
+    """Each slice keeps its own table of shapes, so 8x as many distinct shapes
+    fold in about the same memory."""
+    one, eight = _distinct_shape_moves(5000), _distinct_shape_moves(40000)
+    assert exact(simulate(one)) == exact(plain_simulate(scan(one)))
+    assert simulate(eight).total_lines == 8 * simulate(one).total_lines
+    assert _peak_fold_memory(eight) < 2 * _peak_fold_memory(one)
 
 
 def test_scan_records():
@@ -546,10 +595,15 @@ def test_scan_records():
             b"G1 X1\r\n;LAYER:3\r\n;LAYER:2",
             "p.gcode: layer markers not increasing (3 then 2 at line 3)",
         ),
+        (
+            b";LAYER:1\n;LAYER:" + b"1" * 4301 + b"\n",
+            "p.gcode: layer number too long (line 2)",
+        ),
     ],
     ids=[
         "bytes-not-ascii", "str-not-ascii", "bare-cr", "bad-syntax", "m83",
         "duplicate-letter", "layer-not-increasing", "first-fault-wins", "crlf-layer",
+        "layer-number-too-long",
     ],
 )
 def test_scan_and_parse_raise_the_same_message(data, message):
