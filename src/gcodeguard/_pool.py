@@ -5,7 +5,8 @@ when there are enough items to keep at least two workers busy, it runs
 ``fn`` in worker processes forked from the caller; otherwise, and on every
 other platform, it runs in the calling process. Results keep input order,
 and when items fail, the exception of the earliest failing item is the one
-raised.
+raised. The ``generate``, ``compromise`` and ``detect`` stages run their
+per-file work through it.
 
 ``fn`` and every item must pickle: ``fn`` is a module-level function (or a
 ``functools.partial`` of one). A forked worker starts as a copy of the

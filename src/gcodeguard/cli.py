@@ -17,7 +17,6 @@ paths; the single timestamp lives in ``run_metadata.json``.
 from __future__ import annotations
 
 import argparse
-import gc
 import hashlib
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -191,6 +190,26 @@ def compromise_corpus(
     return manifest, write_compromised(src, out, truth_dir, manifest, plan, cfg)
 
 
+def _compromise_file(src: Path, out: Path, logs_dir: Path, item: tuple) -> str | None:
+    """Copy one file of a corpus into ``out``, mutated and logged when
+    ``item``, its path and its ``Strategy`` or ``None``, names a victim.
+    Returns why the strategy could not touch the victim, or ``None``."""
+    path, strategy = item
+    data = (src / path).read_bytes()
+    if strategy is not None:
+        try:
+            mutated, log = apply_strategy(parse_document(data, source_path=path), strategy)
+        except EmptyRangeError as exc:
+            # A victim the strategy cannot touch stays unmodified and is
+            # dropped from the ground truth so evaluation stays honest.
+            (out / path).write_bytes(data)
+            return str(exc)
+        data = serialize(mutated)
+        write_json(logs_dir / f"{Path(path).stem}.json", {"path": path, **asdict(log)})
+    (out / path).write_bytes(data)
+    return None
+
+
 def write_compromised(
     src: Path,
     out: Path,
@@ -201,32 +220,22 @@ def write_compromised(
 ) -> CompromisePlan:
     """Copy a corpus, mutating the planned victims; write truth and logs.
 
-    Returns the truth written to ``truth.json``: the plan without the
-    victims that their strategy could not touch.
+    Files are copied, or parsed, mutated and logged, in worker processes as
+    in ``generate`` and ``detect``; when files fail, the first in manifest
+    order names the error. Returns the truth written to ``truth.json``: the
+    plan without the victims that their strategy could not touch.
     """
     out.mkdir(parents=True, exist_ok=True)
     logs_dir = truth_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)
-    assigned = {v.path: v.strategy for v in plan.victims}
-    skipped: set[str] = set()
-    for entry in manifest.entries:
-        data = (src / entry.path).read_bytes()
-        sid = assigned.get(entry.path)
-        if sid is None:
-            (out / entry.path).write_bytes(data)
-            continue
-        doc = parse_document(data, source_path=entry.path)
-        try:
-            mutated, log = apply_strategy(doc, cfg.strategy(sid))
-        except EmptyRangeError as exc:
-            # A victim the strategy cannot touch stays unmodified and is
-            # dropped from the ground truth so evaluation stays honest.
-            skipped.add(entry.path)
-            print(f"skipping {entry.path}: {exc}", file=sys.stderr)
-            (out / entry.path).write_bytes(data)
-            continue
-        (out / entry.path).write_bytes(serialize(mutated))
-        write_json(logs_dir / f"{Path(entry.path).stem}.json", {"path": entry.path, **asdict(log)})
+    assigned = {v.path: cfg.strategy(v.strategy) for v in plan.victims}
+    items = [(entry.path, assigned.get(entry.path)) for entry in manifest.entries]
+    reasons = map_ordered(partial(_compromise_file, src, out, logs_dir), items)
+    skipped = set()
+    for (path, _), reason in zip(items, reasons):
+        if reason is not None:
+            skipped.add(path)
+            print(f"skipping {path}: {reason}", file=sys.stderr)
     manifest.save(out / "manifest.json")
     truth = replace(plan, victims=tuple(v for v in plan.victims if v.path not in skipped))
     write_json(truth_dir / "truth.json", truth)
@@ -338,9 +347,6 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     original, blind, truth_dir, flags_dir, report_dir = dirs
     generate_corpus(cfg, original)
     manifest, truth = compromise_corpus(cfg, original, blind, truth_dir)
-    # CPython's tuple free lists keep the victims' freed scan records and pin
-    # their pages, which detect's forked workers would inherit too.
-    gc.collect()
     flag_sets = detect_corpus(blind, flags_dir, cfg.detectors, cfg.detector_params)
     report = evaluate_flags(flag_sets, truth, manifest, report_dir)
     write_json(out / "run_metadata.json", {

@@ -13,11 +13,15 @@ drawn from a ``random.Random`` seeded per file.
 
 Every E token is written with exactly 5 decimal places, X/Y/Z with 3. E is
 the running sum of each extruding move's length times the flow, added move
-by move in file order. The emitter computes each run of moves (the skirt, a
-layer's perimeter, a layer's infill travel/extrude pairs) first and then
-formats the whole run with one ``%``-format of a repeated line template;
-``%.3f`` rounds exactly as the f-string ``:.3f`` does, so the text is the
-same as formatting one move at a time.
+by move in file order by one ``itertools.accumulate``. The infill of every
+layer is computed in one numpy pass per file: each elementwise operation
+rounds as the same Python float operation does, and a stable sort keeps
+ties in edge order, so the segments have the bits a per-row loop gives.
+Lengths use ``math.hypot``, which ``np.hypot`` does not match in the last
+bit. The perimeter is the same on every layer, so its text is formatted
+once per file with a slot for each E; each run of moves (the skirt, a
+perimeter, a layer's infill travel/extrude pairs) is then filled in by one
+``%``-format, which rounds as the f-string ``:.3f`` does.
 """
 
 from __future__ import annotations
@@ -26,7 +30,10 @@ import math
 import random
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
+
+import numpy as np
 
 from ._json import read_record, write_json
 from ._pool import map_ordered
@@ -216,55 +223,64 @@ def _tessellate_loop(
     return points
 
 
-def _infill_segments(
-    poly: list[tuple[float, float]],
-    direction_deg: float,
-    spacing: float,
-    jitter: float,
-) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Clip a family of parallel lines to the polygon (even-odd rule).
+def _infill(
+    poly: list[tuple[float, float]], directions: tuple[float, ...], spacing: float, jitters: list
+) -> tuple[np.ndarray, list[int]]:
+    """Every layer's infill: a family of parallel lines ``spacing`` apart,
+    along ``directions`` cycled layer by layer, clipped to the polygon
+    (even-odd rule). Each layer has its own jitter.
 
-    The family is anchored at the centre of the polygon's projection onto the
-    line normal, offset by ``jitter``; anchoring at the centre keeps the line
-    count invariant under point reflection of the polygon.
+    Returns the segments as rows ``(px, py, qx, qy)`` in file order and how
+    many of them each layer has. A family is anchored at the centre of the
+    polygon's projection onto the line normal, offset by the layer's jitter;
+    anchoring at the centre keeps the line count invariant under point
+    reflection of the polygon. Line ``k`` runs forward for even ``k`` and
+    backward for odd ``k``: serpentine order keeps travels short.
     """
-    r = math.radians(direction_deg)
-    ux, uy = math.cos(r), math.sin(r)
-    nx, ny = -uy, ux
-    proj = [px * nx + py * ny for px, py in poly]
-    lo, hi = min(proj), max(proj)
-    cmid = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0
-
-    kmin = math.ceil((-half - jitter) / spacing)
-    kmax = math.floor((half - jitter) / spacing)
-    segments = []
-    m = len(poly)
-    for k in range(kmin, kmax + 1):
-        c = cmid + jitter + k * spacing
-        ts: list[tuple[float, float, float]] = []
-        for i in range(m):
-            da = proj[i] - c
-            db = proj[(i + 1) % m] - c
-            if (da >= 0.0) != (db >= 0.0):
-                s = da / (da - db)
-                ax, ay = poly[i]
-                bx, by = poly[(i + 1) % m]
-                px, py = ax + s * (bx - ax), ay + s * (by - ay)
-                ts.append((px * ux + py * uy, px, py))
-        ts.sort(key=lambda item: item[0])
-        if len(ts) % 2:
-            ts.pop()
-        row = []
-        for a, b in zip(ts[0::2], ts[1::2]):
-            if b[0] - a[0] > 1e-9:
-                row.append(((a[1], a[2]), (b[1], b[2])))
-        # Serpentine order: alternate rows run in opposite directions to keep
-        # travels short.
-        if k % 2:
-            row = [(q, p) for p, q in reversed(row)]
-        segments.extend(row)
-    return segments
+    families = {}
+    for direction in directions:
+        r = math.radians(direction)
+        ux, uy = math.cos(r), math.sin(r)
+        nx, ny = -uy, ux
+        proj = [px * nx + py * ny for px, py in poly]
+        lo, hi = min(proj), max(proj)
+        families[direction] = (ux, uy, proj, (lo + hi) / 2.0, (hi - lo) / 2.0)
+    layers = []
+    for layer, jitter in enumerate(jitters):
+        ux, uy, proj, cmid, half = families[directions[layer % len(directions)]]
+        kmin = math.ceil((-half - jitter) / spacing)
+        kmax = math.floor((half - jitter) / spacing)
+        layers.append((kmin, kmax + 1 - kmin, cmid + jitter, ux, uy, *proj))
+    # One row per line of every layer, in file order.
+    table = np.array(layers)
+    kmin, lines = table[:, 0].astype(int), table[:, 1].astype(int)
+    layer = np.repeat(np.arange(len(layers)), lines)
+    k = kmin[layer] + np.arange(len(layer)) - (np.cumsum(lines) - lines)[layer]
+    c = table[layer, 2] + k * spacing
+    proj = table[layer, 5:]
+    da = proj - c[:, None]
+    db = np.roll(proj, -1, axis=1) - c[:, None]
+    row, edge = np.nonzero((da >= 0.0) != (db >= 0.0))
+    da, db = da[row, edge], db[row, edge]
+    s = da / (da - db)
+    ax, ay = np.array(poly).T
+    px = ax[edge] + s * (np.roll(ax, -1) - ax)[edge]
+    py = ay[edge] + s * (np.roll(ay, -1) - ay)[edge]
+    t = px * table[layer, 3][row] + py * table[layer, 4][row]
+    # Each row's crossings by t, paired in turn; the sort is stable, so ties
+    # keep edge order. Every row has an even count: going round the closed
+    # outline, ``proj >= c`` changes an even number of times.
+    order = np.lexsort((t, row))
+    row, px, py, t = row[order][0::2], px[order], py[order], t[order]
+    long = t[1::2] - t[0::2] > 1e-9
+    row = row[long]
+    pairs = np.column_stack((px[0::2], py[0::2], px[1::2], py[1::2]))[long]
+    # A backward row: its segments in reverse order, each one reversed.
+    odd = k[row] % 2 == 1
+    pairs[odd] = pairs[odd][:, [2, 3, 0, 1]]
+    index = np.arange(len(row))
+    order = np.lexsort((np.where(odd, -index, index), row))
+    return pairs[order], np.bincount(layer[row], minlength=len(layers)).tolist()
 
 
 def build_specimen(spec: SpecimenSpec, angle_deg: float, seed: int) -> GcodeDocument:
@@ -281,23 +297,9 @@ _EXTRUDE = "G1 X%.3f Y%.3f E%.5f\n"
 _INFILL_PAIR = "G0 X%.3f Y%.3f\n" + _EXTRUDE
 
 
-def _extrude_run(
-    origin: tuple[float, float],
-    points: list[tuple[float, float]],
-    flow: float,
-    e: float,
-    feed: int | None,
-) -> tuple[str, float]:
-    """The lines extruding from ``origin`` along ``points``, the first with
-    ``feed``, and the E register after them. E is summed move by move."""
-    values: list[float] = []
-    x, y = origin
-    for px, py in points:
-        e += math.hypot(px - x, py - y) * flow
-        values += (px, py, e)
-        x, y = px, py
-    head = _EXTRUDE if feed is None else f"G1 F{feed} X%.3f Y%.3f E%.5f\n"
-    return (head + _EXTRUDE * (len(points) - 1)) % tuple(values), e
+def _lengths(points: list[tuple[float, float]], flow: float) -> list[float]:
+    """The filament each move along ``points`` extrudes, from the first point on."""
+    return [math.hypot(bx - ax, by - ay) * flow for (ax, ay), (bx, by) in zip(points, points[1:])]
 
 
 def _emit_specimen(spec: SpecimenSpec, angle_deg: float, seed: int) -> str:
@@ -306,51 +308,52 @@ def _emit_specimen(spec: SpecimenSpec, angle_deg: float, seed: int) -> str:
     if not math.isfinite(angle_deg):
         raise ValueError(f"angle must be finite, got {angle_deg!r}")
     rng = random.Random(seed)
+    # One jitter per layer, drawn before any geometry, so the random stream
+    # does not depend on the angle.
+    jitters = [rng.uniform(0.0, spec.infill_line_distance) for _ in range(spec.layer_count)]
     poly = _placed_footprint(spec, angle_deg)
     flow = spec.nozzle_width * spec.layer_height / _FILAMENT_AREA
+    xs, ys, m = [p[0] for p in poly], [p[1] for p in poly], spec.skirt_margin
+    x0, y0, x1, y1 = min(xs) - m, min(ys) - m, max(xs) + m, max(ys) + m
+    skirt = [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]
+    start = poly[0]
+    # Every layer's perimeter is the same run of moves from ``start``: its
+    # lengths, and its text with a slot for each E, are made once.
+    perimeter = _tessellate_loop(poly, spec.perimeter_segment_length)
+    loop = "".join("G1 X%.3f Y%.3f E%%.5f\n" % p for p in perimeter)
+    loop_lengths = _lengths([start, *perimeter], flow)
+    segments, per_layer = _infill(poly, spec.infill_directions, spec.infill_line_distance, jitters)
+    # math.hypot, not np.hypot: the two differ in the last bit on some pairs.
+    deltas = (segments[:, 2:] - segments[:, :2]).tolist()
+    infill_lengths = [math.hypot(dx, dy) * flow for dx, dy in deltas]
+    bounds = list(zip([0, *accumulate(per_layer)], accumulate(per_layer)))
+    lengths = _lengths(skirt, flow)
+    for a, b in bounds:
+        lengths += loop_lengths
+        lengths += infill_lengths[a:b]
+    # E is the running sum in file order, added move by move.
+    e = list(accumulate(lengths))
 
     out = [
         f";generated by gcodeguard v{GENERATOR_VERSION}\n;specimen:{spec.name}\n"
         "M140 S60\nM104 S200\nM105\nG28\nM82\nG92 E0.00000\nM106 S85\n"
     ]
-    e = 0.0
-    start = poly[0]
-    perimeter = _tessellate_loop(poly, spec.perimeter_segment_length)
-    direction_count = len(spec.infill_directions)
-
-    for layer in range(spec.layer_count):
-        # The jitter draw happens every layer, before any geometry, so the
-        # random stream consumed for layer i does not depend on the angle.
-        jitter = rng.uniform(0.0, spec.infill_line_distance)
+    i = len(skirt) - 1
+    for layer, (a, b) in enumerate(bounds):
         z = (layer + 1) * spec.layer_height
         out.append(f";LAYER:{layer}\n")
         if layer == 0:
-            xs = [p[0] for p in poly]
-            ys = [p[1] for p in poly]
-            m = spec.skirt_margin
-            skirt = [
-                (min(xs) - m, min(ys) - m),
-                (max(xs) + m, min(ys) - m),
-                (max(xs) + m, max(ys) + m),
-                (min(xs) - m, max(ys) + m),
-            ]
             out.append("G0 F%d X%.3f Y%.3f Z%.3f\n" % (TRAVEL_FEED, *skirt[0], z))
-            text, e = _extrude_run(skirt[0], skirt[1:] + skirt[:1], flow, e, PRINT_FEED)
-            out.append(text)
-            out.append("G0 X%.3f Y%.3f\n" % start)
-            first_feed = None
+            values = [v for (x, y), ex in zip(skirt[1:], e) for v in (x, y, ex)]
+            out.append((f"G1 F{PRINT_FEED} " + _EXTRUDE[3:] + _EXTRUDE * 3) % tuple(values))
+            out.append("G0 X%.3f Y%.3f\n" % start + loop % tuple(e[i : i + len(perimeter)]))
         else:
             out.append("G0 F%d X%.3f Y%.3f Z%.3f\n" % (TRAVEL_FEED, *start, z))
-            first_feed = PRINT_FEED
-        text, e = _extrude_run(start, perimeter, flow, e, first_feed)
-        out.append(text)
-        direction = spec.infill_directions[layer % direction_count]
-        segments = _infill_segments(poly, direction, spec.infill_line_distance, jitter)
-        values: list[float] = []
-        for (px, py), (qx, qy) in segments:
-            e += math.hypot(qx - px, qy - py) * flow
-            values += (px, py, qx, qy, e)
-        out.append(_INFILL_PAIR * len(segments) % tuple(values))
+            out.append((f"G1 F{PRINT_FEED} " + loop[3:]) % tuple(e[i : i + len(perimeter)]))
+        i += len(perimeter)
+        values = np.column_stack((segments[a:b], e[i : i + b - a])).ravel().tolist()
+        out.append(_INFILL_PAIR * (b - a) % tuple(values))
+        i += b - a
 
     out.append("M107\nM140 S0\nM104 S0\nM84\n")
     return "".join(out)
@@ -365,11 +368,21 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Index of one generated dataset; paths are relative to the manifest."""
+    """Index of one generated dataset; each path is a distinct bare
+    ``.gcode`` file name in the manifest's directory."""
 
     dataset_id: str
     generator_version: str
     entries: tuple[ManifestEntry, ...]
+
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for name in (entry.path for entry in self.entries):
+            if not isinstance(name, str) or not name.endswith(".gcode") or {"/", "\\"} & set(name):
+                raise ValueError(f"entry path must be a bare .gcode file name, got {name!r}")
+            if name in seen:
+                raise ValueError(f"entry path listed twice: {name!r}")
+            seen.add(name)
 
     def save(self, path: str | Path) -> None:
         write_json(path, self)

@@ -24,7 +24,7 @@ from gcodeguard.cli import (
 from gcodeguard.detectors import DETECTOR_NAMES, FlagSet, cluster_agglomerative, fit_pca
 from gcodeguard.features import build_matrix, extract, standardize, write_features_csv
 from gcodeguard.gcode import GcodeDocument, parse_document
-from gcodeguard.mutate import STRATEGY_IDS, CompromisePlan, RangeMode
+from gcodeguard.mutate import STRATEGY_IDS, CompromisePlan, RangeMode, plan_compromise
 from gcodeguard.synthgen import DatasetManifest, SpecimenSpec, generate_dataset
 
 
@@ -445,6 +445,25 @@ MALFORMED_EVALUATE_INPUTS = [
     ("truth.json",
      {"dataset_id": "D1", "seed": 1, "victims": [{"path": "a.gcode", "strategy": "ID9"}]},
      "unknown strategy in victims: 'ID9'"),
+    ("manifest.json",
+     {"dataset_id": "D1", "generator_version": "1",
+      "entries": [{"path": "../outside.gcode", "angle_deg": 0.0, "seed": 1}]},
+     "entry path must be a bare .gcode file name, got '../outside.gcode'"),
+    ("manifest.json",
+     {"dataset_id": "D1", "generator_version": "1",
+      "entries": [{"path": "a.gcode", "angle_deg": 0.0, "seed": 1}] * 2},
+     "entry path listed twice: 'a.gcode'"),
+]
+
+# Manifest entry paths that compromise must refuse before it writes anything:
+# (path of the entry replaced, or None to list the first entry twice, message).
+UNSAFE_MANIFEST_PATHS = [
+    ("../outside.gcode", "entry path must be a bare .gcode file name, got '../outside.gcode'"),
+    ("sub/part.gcode", "entry path must be a bare .gcode file name, got 'sub/part.gcode'"),
+    ("sub\\part.gcode", "entry path must be a bare .gcode file name, got 'sub\\\\part.gcode'"),
+    ("..", "entry path must be a bare .gcode file name, got '..'"),
+    ("notes.txt", "entry path must be a bare .gcode file name, got 'notes.txt'"),
+    (None, "entry path listed twice: 'chip16x8_0000.gcode'"),
 ]
 
 
@@ -655,6 +674,30 @@ class TestErrorPaths:
         assert err == f"error: {victim.name}: layer number too long (line {lines + 1})\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("path,message", UNSAFE_MANIFEST_PATHS)
+    def test_compromise_refuses_unsafe_manifest_paths(self, path, message, tiny_corpus,
+                                                      tmp_path, capsys):
+        src = tmp_path / "src"
+        shutil.copytree(tiny_corpus[0], src)
+        manifest = json.loads((src / "manifest.json").read_text())
+        entries = manifest["entries"]
+        if path is None:
+            entries.append(entries[0])
+        else:
+            shutil.copy(src / entries[1]["path"], tmp_path / "outside.gcode")
+            entries[1]["path"] = path
+        (src / "manifest.json").write_text(json.dumps(manifest))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TINY_CLI_CONFIG, "victims": {"ID1": 12}}))
+        before = tree_bytes(tmp_path)
+        deep = tmp_path / "deep"
+        assert main([
+            "compromise", "--config", str(cfg_path), "--src", str(src),
+            "--out", str(deep / "blind"), "--truth", str(deep / "truth"),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {src / 'manifest.json'}: {message}\n"
+        assert tree_bytes(tmp_path) == before
+
     def test_evaluate_without_flags(self, tmp_path):
         empty = tmp_path / "flags"
         empty.mkdir()
@@ -692,10 +735,30 @@ def pooled_corpus(tmp_path_factory):
     return pooled, in_process
 
 
+def pooled_compromise(cfg_path, src, out):
+    """``main`` on compromise from ``src`` into ``out/blind`` and ``out/truth``."""
+    return main([
+        "compromise", "--config", str(cfg_path), "--src", str(src),
+        "--out", str(out / "blind"), "--truth", str(out / "truth"),
+    ])
+
+
+@pytest.fixture
+def pooled_config(tmp_path):
+    """A config with one victim per strategy over the pooled corpus."""
+    path = tmp_path / "pooled.json"
+    path.write_text(json.dumps({
+        "dataset_id": "D1", "count": POOLED_FILES, "angular_step": 6.0,
+        "victims": {sid: 1 for sid in STRATEGY_IDS}, "seed": 5,
+    }))
+    return path
+
+
 @pytest.mark.skipif(_pool._usable_cpus() < 2, reason="fewer than 2 usable CPUs: no workers start")
 class TestPooledStages:
-    """generate and detect give the same bytes through workers as in-process,
-    and the first bad file in sorted order fails detect with nothing written."""
+    """generate, compromise and detect give the same bytes through workers as
+    in-process; the first bad file in sorted order fails detect with nothing
+    written, and the first bad victim in manifest order fails compromise."""
 
     def test_generate_is_byte_identical(self, pooled_corpus):
         pooled, in_process = pooled_corpus
@@ -739,6 +802,53 @@ class TestPooledStages:
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
+    def test_compromise_is_byte_identical(self, pooled_corpus, pooled_config, tmp_path,
+                                          monkeypatch, capsys):
+        src, _ = pooled_corpus
+        runs = {}
+        for name in ("pooled", "in_process"):
+            if name == "in_process":
+                single_cpu(monkeypatch)
+            assert pooled_compromise(pooled_config, src, tmp_path / name) == 0
+            captured = capsys.readouterr()
+            assert captured.out.startswith(f"compromised {len(STRATEGY_IDS)} of {POOLED_FILES} ")
+            runs[name] = tree_bytes(tmp_path / name), captured.err
+        assert runs["pooled"] == runs["in_process"]
+        written, _ = runs["pooled"]
+        assert sum(path.parts[:2] == ("truth", "logs") for path in written) == len(STRATEGY_IDS)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("m83_first", [True, False])
+    def test_first_bad_victim_fails_compromise(self, m83_first, pooled_corpus, pooled_config,
+                                               tmp_path, capsys):
+        src = tmp_path / "hostile"
+        shutil.copytree(pooled_corpus[0], src)
+        manifest = DatasetManifest.load(src / "manifest.json")
+        counts = {sid: 1 for sid in STRATEGY_IDS}
+        plan = plan_compromise(manifest, counts, stage_seed(5, "compromise"))
+        victims = {v.path for v in plan.victims}
+        first, second = [en.path for en in manifest.entries if en.path in victims][:2]
+        m83, ff = (first, second) if m83_first else (second, first)
+        with open(src / m83, "a") as fh:
+            fh.write("M83\n")
+        with open(src / ff, "ab") as fh:
+            fh.write(b"\xff")
+        assert pooled_compromise(pooled_config, src, tmp_path / "out") == 1
+        data = (src / first).read_bytes()
+        if m83_first:
+            lines = data.count(b"\n")
+            reason = (
+                f"relative extrusion (M83) is outside the supported subset (line {lines}): 'M83'"
+            )
+        else:
+            reason = (
+                f"not ASCII: 'ascii' codec can't decode byte 0xff in position "
+                f"{len(data) - 1}: ordinal not in range(128)"
+            )
+        assert capsys.readouterr().err == f"error: {first}: {reason}\n"
+        assert not (tmp_path / "out" / "truth" / "truth.json").exists()
+        assert multiprocessing.active_children() == []
+
 
 class TestUntouchableVictims:
     def test_skipped_victims_leave_truth_empty(self, tmp_path, capsys):
@@ -771,3 +881,4 @@ class TestUntouchableVictims:
         assert truth_data["victims"] == []
         for path in src.glob("*.gcode"):
             assert (blind / path.name).read_bytes() == path.read_bytes()
+

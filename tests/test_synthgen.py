@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gcodeguard import synthgen
 from gcodeguard.gcode import parse_document, serialize, simulate
@@ -228,3 +232,84 @@ EMITTED_SHA256 = [
 def test_emitted_bytes_match_history(dataset_id, angle, seed, digest):
     text = synthgen._emit_specimen(preset_spec(dataset_id), angle, seed)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+def loop_infill_segments(poly, direction_deg, spacing, jitter):
+    """One layer's infill as the generator computed it row by row before it
+    computed every layer in one array pass: the reference for ``_infill``."""
+    r = math.radians(direction_deg)
+    ux, uy = math.cos(r), math.sin(r)
+    nx, ny = -uy, ux
+    proj = [px * nx + py * ny for px, py in poly]
+    lo, hi = min(proj), max(proj)
+    cmid = (lo + hi) / 2.0
+    half = (hi - lo) / 2.0
+
+    kmin = math.ceil((-half - jitter) / spacing)
+    kmax = math.floor((half - jitter) / spacing)
+    segments = []
+    m = len(poly)
+    for k in range(kmin, kmax + 1):
+        c = cmid + jitter + k * spacing
+        ts = []
+        for i in range(m):
+            da = proj[i] - c
+            db = proj[(i + 1) % m] - c
+            if (da >= 0.0) != (db >= 0.0):
+                s = da / (da - db)
+                ax, ay = poly[i]
+                bx, by = poly[(i + 1) % m]
+                px, py = ax + s * (bx - ax), ay + s * (by - ay)
+                ts.append((px * ux + py * uy, px, py))
+        ts.sort(key=lambda item: item[0])
+        if len(ts) % 2:
+            ts.pop()
+        row = []
+        for a, b in zip(ts[0::2], ts[1::2]):
+            if b[0] - a[0] > 1e-9:
+                row.append(((a[1], a[2]), (b[1], b[2])))
+        if k % 2:
+            row = [(q, p) for p, q in reversed(row)]
+        segments.extend(row)
+    return segments
+
+
+@st.composite
+def footprints(draw):
+    """A rectangle or an L with axis-aligned edges and integer vertices, in
+    either winding, so that scanlines hit vertices and crossings tie."""
+    x0, x1 = sorted(draw(st.lists(st.integers(-20, 20), min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(st.integers(-20, 20), min_size=2, max_size=2, unique=True)))
+    poly = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    if draw(st.booleans()) and x1 - x0 > 1 and y1 - y0 > 1:
+        xm, ym = draw(st.integers(x0 + 1, x1 - 1)), draw(st.integers(y0 + 1, y1 - 1))
+        poly = [(x0, y0), (x1, y0), (x1, ym), (xm, ym), (xm, y1), (x0, y1)]
+        for _ in range(draw(st.integers(0, 3))):
+            poly = [(-y, x) for x, y in poly]
+    if draw(st.booleans()):
+        poly.reverse()
+    return [(float(x), float(y)) for x, y in poly]
+
+
+directions = st.one_of(
+    st.sampled_from([0.0, 90.0, 180.0, 270.0, 45.0, -45.0, 135.0, 30.0]),
+    st.floats(-360.0, 360.0),
+)
+jitters = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0]), st.floats(0.0, 4.0))
+
+
+@given(
+    poly=footprints(),
+    spacing=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.25, 6.0)),
+    layers=st.lists(st.tuples(directions, jitters), min_size=1, max_size=6),
+)
+def test_property_infill_matches_the_loop(poly, spacing, layers):
+    pairs, per_layer = synthgen._infill(
+        poly, [d for d, _ in layers], spacing, [j for _, j in layers]
+    )
+    loops = [loop_infill_segments(poly, d, spacing, j) for d, j in layers]
+    assert per_layer == [len(segments) for segments in loops]
+    expected = np.array([[*p, *q] for segments in loops for p, q in segments], dtype=float)
+    assert pairs.shape == (sum(per_layer), 4)
+    # Bits, signed zeros included, and order.
+    assert pairs.view(np.int64).tolist() == expected.reshape(-1, 4).view(np.int64).tolist()
