@@ -11,7 +11,9 @@ Five subcommands mirror the experiment stages:
 Stage randomness derives from one master seed: each stage hashes the seed
 with its own label, so rerunning any stage with the same configuration
 reproduces its output byte for byte. Run directories contain only relative
-paths; the single timestamp lives in ``run_metadata.json``.
+paths; the single timestamp lives in ``run_metadata.json``. A configuration
+names which detectors run, never how they judge: each runs with the
+constants documented in ``detectors``.
 """
 
 from __future__ import annotations
@@ -56,14 +58,13 @@ class ExperimentConfig:
     victims: dict[str, int] = field(default_factory=dict)
     seed: int = 719
     detectors: tuple[str, ...] = DETECTOR_NAMES
-    detector_params: dict[str, dict] = field(default_factory=dict)
     range_overrides: dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
         preset_spec(self.dataset_id)  # raises on unknown ids
         check_sweep(self.count, self.angular_step)
         check_victims(self.victims, self.count)
-        check_detectors(self.detectors, self.detector_params)
+        check_detectors(self.detectors)
         if not isinstance(self.range_overrides, dict):
             raise ValueError(
                 f"range_overrides must be a JSON object, got {type(self.range_overrides).__name__}"
@@ -135,11 +136,14 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         unknown = [key for key in data if key not in known]
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
-        base = PRESETS[data.pop("preset")] if "preset" in data else None
-        if base is not None:
-            merged = asdict(base)
-            merged.update(data)
-            data = merged
+        if "preset" in data:
+            preset = data.pop("preset")
+            if not (isinstance(preset, str) and preset in PRESETS):
+                raise ValueError(f"unknown preset: {preset!r}")
+            data = {**asdict(PRESETS[preset]), **data}
+        missing = [key for key in ("dataset_id", "count", "angular_step") if key not in data]
+        if missing:
+            raise ValueError(f"missing config key(s): {', '.join(map(repr, missing))}")
         victims = data.get("victims", {})
         detectors = data.get("detectors", DETECTOR_NAMES)
         if isinstance(detectors, str):
@@ -154,7 +158,6 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
                 victims={k: _number(f"victims {k}", v, int) for k, v in victims.items()},
                 seed=_number("seed", data.get("seed", 719), int),
                 detectors=tuple(detectors),
-                detector_params=data.get("detector_params", {}),
                 range_overrides=data.get("range_overrides", {}),
             )
         except (TypeError, AttributeError) as exc:
@@ -247,24 +250,22 @@ def _file_features(src: Path, name: str) -> FeatureVector:
     return extract(src.joinpath(name).read_bytes(), path=name)
 
 
-def detect_corpus(
-    src: Path, out: Path, detectors: tuple[str, ...], detector_params: dict[str, dict]
-) -> list[FlagSet]:
+def detect_corpus(src: Path, out: Path, detectors: tuple[str, ...]) -> list[FlagSet]:
     """Feature pass plus every requested detector; writes flag sets and CSVs.
 
-    Detector names and overrides are checked before any file is read. Each
-    file's features are folded straight off its bytes, one file at a time
-    per usable CPU: no document is built, and memory does not grow with the
+    Detector names are checked before any file is read. Each file's
+    features are folded straight off its bytes, one file at a time per
+    usable CPU: no document is built, and memory does not grow with the
     corpus. When files fail, the first in sorted order names the error.
     Nothing is written until every detector has returned, so a detector
     that fails leaves no partial output behind.
     """
-    check_detectors(detectors, detector_params)
+    check_detectors(detectors)
     paths = sorted(p.name for p in src.glob("*.gcode"))
     if not paths:
         raise ValueError(f"no .gcode files under {src}")
     fm = build_matrix(map_ordered(partial(_file_features, src), paths))
-    flag_sets, pts, labels = run_detectors(fm, detectors, detector_params)
+    flag_sets, pts, labels = run_detectors(fm, detectors)
 
     out.mkdir(parents=True, exist_ok=True)
     write_features_csv(fm, out / "features.csv")
@@ -311,8 +312,7 @@ def cmd_compromise(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     detectors = tuple(args.detectors.split(",")) if args.detectors else DETECTOR_NAMES
-    params = read_json(args.params) if args.params else {}
-    for fs in detect_corpus(Path(args.src), Path(args.out), detectors, params):
+    for fs in detect_corpus(Path(args.src), Path(args.out), detectors):
         print(f"{fs.detector}: flagged {len(fs.flagged)}")
     return 0
 
@@ -347,7 +347,7 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     original, blind, truth_dir, flags_dir, report_dir = dirs
     generate_corpus(cfg, original)
     manifest, truth = compromise_corpus(cfg, original, blind, truth_dir)
-    flag_sets = detect_corpus(blind, flags_dir, cfg.detectors, cfg.detector_params)
+    flag_sets = detect_corpus(blind, flags_dir, cfg.detectors)
     report = evaluate_flags(flag_sets, truth, manifest, report_dir)
     write_json(out / "run_metadata.json", {
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -389,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", required=True, help="directory with .gcode files")
     p.add_argument("--out", required=True, help="directory for flag sets and CSVs")
     p.add_argument("--detectors", help="comma-separated detector names (default: all)")
-    p.add_argument("--params", help="JSON file with per-detector parameter overrides")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("evaluate", help="score flag sets against ground truth")

@@ -13,7 +13,11 @@ Five detectors share one input, the corpus ``FeatureMatrix``:
                        flag noise and tiny clusters
 
 None of them uses ground truth, a reference model, or fitted state from
-other corpora; everything is relative to the corpus at hand. Clustering is
+other corpora; everything is relative to the corpus at hand. Each runs with
+this module's constants, so no setting moves a verdict; mean shift's
+bandwidth (the 30th percentile of pairwise distances) and DBSCAN's eps
+(``knee_epsilon``) come from the corpus. Another threshold, eps or
+bandwidth is a call to the function that takes it. Clustering is
 implemented here directly so the only numerical dependency is numpy; one
 chunked kernel, ``_sq_dists``, gives every clustering step its distances.
 Each clustering step works on the distinct rows of its input, weighted by
@@ -64,6 +68,7 @@ __all__ = [
 Z_THRESHOLD = 3.5
 Z_SCALE = 0.6745
 SMALL_CLUSTER_FRACTION = 0.01
+DBSCAN_MIN_SAMPLES = 5
 MEANSHIFT_TOL = 1e-6
 MEANSHIFT_MAX_ITER = 300
 # Scalars per difference block in _sq_dists: 8 MB of float64 whatever the
@@ -486,7 +491,7 @@ def knee_epsilon(matrix: np.ndarray, k: int = 4) -> float:
 
 
 def cluster_dbscan(
-    matrix: np.ndarray, eps: float | None = None, min_samples: int = 5
+    matrix: np.ndarray, eps: float | None = None, min_samples: int = DBSCAN_MIN_SAMPLES
 ) -> tuple[np.ndarray, float]:
     """Density clustering; returns (labels, eps). Noise points get -1.
 
@@ -549,15 +554,7 @@ def flags_from_clusters(
     return noise | (size <= threshold), np.where(noise, 1.0, 1.0 / size), threshold
 
 
-# Every override a detector takes, with the value it runs with otherwise.
-_DEFAULTS = {
-    "single_stat": {"threshold": Z_THRESHOLD},
-    "combined_stat": {"threshold": Z_THRESHOLD},
-    "pca_agglomerative": {"min_fraction": SMALL_CLUSTER_FRACTION},
-    "pca_meanshift": {"min_fraction": SMALL_CLUSTER_FRACTION, "bandwidth": None},
-    "dbscan": {"min_fraction": SMALL_CLUSTER_FRACTION, "eps": None, "min_samples": 5},
-}
-DETECTOR_NAMES = tuple(_DEFAULTS)
+DETECTOR_NAMES = ("single_stat", "combined_stat", "pca_agglomerative", "pca_meanshift", "dbscan")
 
 
 @dataclass(frozen=True)
@@ -579,68 +576,25 @@ class _Projection:
         return self.pca.transform(self.z)
 
 
-def _check_override(name: str, key: str, value: object) -> None:
-    """Raise unless ``value`` is in range for ``key`` (see ``check_detectors``)."""
-    # Python numbers only, so the value echoed in FlagSet.parameters saves as JSON.
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if key == "min_samples":
-        ok, want = number and isinstance(value, int) and value >= 1, "an int >= 1"
-    elif key == "min_fraction":
-        ok, want = number and 0.0 <= value < 1.0, "a number in [0, 1)"
-    else:
-        ok, want = number and 0.0 < value < math.inf, "a finite number > 0"
-    if not ok:
-        raise ValueError(f"{name}: {key} must be {want}, got {value!r}")
-
-
-def _options(name: str, overrides: object) -> dict:
-    """The settings detector ``name`` runs with: its defaults, updated by
-    ``overrides``, which must pass ``check_detectors``."""
-    if name not in _DEFAULTS:
-        raise ValueError(f"unknown detector: {name!r}")
-    if not isinstance(overrides, dict):
-        raise ValueError(
-            f"{name}: parameter overrides must be a JSON object, "
-            f"got {type(overrides).__name__}"
-        )
-    unknown = [key for key in overrides if key not in _DEFAULTS[name]]
-    if unknown:
-        keys = ", ".join(repr(k) for k in unknown)
-        raise ValueError(f"{name}: unknown parameter override(s): {keys}")
-    for key, value in overrides.items():
-        _check_override(name, key, value)
-    return {**_DEFAULTS[name], **overrides}
-
-
-def check_detectors(names: tuple[str, ...], params: object) -> None:
+def check_detectors(names: tuple[str, ...]) -> None:
     """Raise ``ValueError`` unless ``names`` names at least one detector, each
-    one known and named once, and ``params`` maps detector names to dicts of
-    overrides that detector takes, each in range: ``threshold``,
-    ``bandwidth`` and ``eps`` are finite numbers > 0, ``min_fraction`` is a
-    number in [0, 1) and ``min_samples`` an int >= 1. Numbers are Python
-    ints and floats (``np.float64`` is one), not bools; a key left out keeps
-    its default."""
+    one known and named once."""
     if not names:
         raise ValueError("detectors must be a non-empty list of names")
     for i, name in enumerate(names):
-        _options(name, {})
+        if name not in DETECTOR_NAMES:
+            raise ValueError(f"unknown detector: {name!r}")
         if name in names[:i]:
             raise ValueError(f"detector named twice: {name!r}")
-    if not isinstance(params, dict):
-        raise ValueError(f"detector params must be a JSON object, got {type(params).__name__}")
-    for name, overrides in params.items():
-        _options(name, overrides)
 
 
-def _detect(
-    name: str, space: _Projection, params: dict | None
-) -> tuple[FlagSet, np.ndarray | None]:
+def _detect(name: str, space: _Projection) -> tuple[FlagSet, np.ndarray | None]:
     """One detector's flag set, plus its cluster labels when it clusters."""
-    opts = _options(name, params or {})
+    check_detectors((name,))
     fm = space.fm
     if name in ("single_stat", "combined_stat"):
         stat = detect_single_stat if name == "single_stat" else detect_combined_stat
-        return stat(fm, opts["threshold"]), None
+        return stat(fm), None
 
     if name in ("pca_agglomerative", "pca_meanshift"):
         parameters = {
@@ -650,14 +604,12 @@ def _detect(
         if name == "pca_agglomerative":
             labels = cluster_agglomerative(space.pts)
         else:
-            bandwidth = opts["bandwidth"]
-            labels = cluster_meanshift(space.pts, bandwidth=bandwidth)
-            parameters["bandwidth"] = bandwidth if bandwidth is not None else "p30 pairwise"
+            labels = cluster_meanshift(space.pts)
+            parameters["bandwidth"] = "p30 pairwise"
     else:
-        min_samples = opts["min_samples"]
-        labels, eps = cluster_dbscan(space.z, eps=opts["eps"], min_samples=min_samples)
-        parameters = {"space": "standardized counts", "eps": eps, "min_samples": min_samples}
-    mask, scores, threshold = flags_from_clusters(labels, opts["min_fraction"])
+        labels, eps = cluster_dbscan(space.z)
+        parameters = {"space": "standardized counts", "eps": eps, "min_samples": DBSCAN_MIN_SAMPLES}
+    mask, scores, threshold = flags_from_clusters(labels)
     parameters.update(
         small_cluster_max=threshold,
         clusters=int(labels.max()) + 1 if len(labels) else 0,
@@ -666,32 +618,25 @@ def _detect(
     return _flagset(name, parameters, fm, mask, scores), labels
 
 
-def run_detector(name: str, fm: FeatureMatrix, params: dict | None = None) -> FlagSet:
-    """Run one registered detector with optional parameter overrides.
-
-    Recognized overrides: ``threshold`` (stat detectors), ``bandwidth``
-    (mean shift), ``eps`` and ``min_samples`` (dbscan), ``min_fraction``
-    (all clustering detectors). Any other key, and a value out of range
-    (see ``check_detectors``), raises ``ValueError``.
-    """
-    return _detect(name, _Projection(fm), params)[0]
+def run_detector(name: str, fm: FeatureMatrix) -> FlagSet:
+    """Run one of ``DETECTOR_NAMES`` on ``fm`` with the module's constants."""
+    return _detect(name, _Projection(fm))[0]
 
 
 def run_detectors(
-    fm: FeatureMatrix, names: tuple[str, ...], params: dict[str, dict]
+    fm: FeatureMatrix, names: tuple[str, ...]
 ) -> tuple[list[FlagSet], np.ndarray, np.ndarray]:
     """Run detectors on one standardization and one PCA of ``fm``.
 
-    ``params`` maps names to ``run_detector`` overrides. Returns the flag
-    sets in ``names`` order, the PCA projection (no rows for a corpus of one
-    file, which PCA cannot fit), and the Ward labels of
+    Returns the flag sets in ``names`` order, the PCA projection (no rows
+    for a corpus of one file, which PCA cannot fit), and the Ward labels of
     ``pca_agglomerative`` (all -1 when it was not requested).
     """
     space = _Projection(fm)
     flag_sets = []
     ward = np.full(len(fm.paths), -1, dtype=np.int64)
     for name in names:
-        fs, labels = _detect(name, space, params.get(name))
+        fs, labels = _detect(name, space)
         if name == "pca_agglomerative":
             ward = labels
         flag_sets.append(fs)

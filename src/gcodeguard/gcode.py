@@ -21,16 +21,16 @@ letters, increasing layer marks) and yields one plain tuple per line,
 names a fault, in a ``MalformedFileError``. A ``GcodeDocument`` is those
 records held in order, for code that edits or re-serializes a file.
 
-``simulate`` is the one fold that counts. It reads a file's bytes or text
-in slices of whole lines and folds each slice with compiled regular
+``simulate`` is the one fold that counts. It reads a file's bytes in
+slices of whole lines and folds each slice with compiled regular
 expressions and numpy, never line by line in Python. A line's shape, its
 text with the comment cut and each digit made 0, decides its grammar, its
 repeated letters and its E decimal places, so those are checked once per
 distinct shape in a slice, the grammar by a pattern built from the
 scanner's fragments. Each slice's numbers are read in one float pass. When
-a check fires, ``simulate`` runs ``scan`` over the data, which raises the
-first fault's message. Records (a document or ``scan`` itself) are joined
-back into text and folded the same way.
+a check fires, ``simulate`` runs ``scan`` over its input, which raises the
+first fault's message. Text, and records (a document or ``scan`` itself)
+joined back into text, are encoded as UTF-8 once and folded the same way.
 
 Only absolute extrusion is supported. ``M83`` (relative extrusion) is
 rejected at scan time rather than silently misinterpreted.
@@ -255,7 +255,9 @@ def simulate(
         data = source
     else:
         data = "\n".join([record[0] for record in source] + [""])
-    summary = _fold(data)
+    # Text is folded as UTF-8, lone surrogates too, so that any non-ASCII
+    # character fails a slice check and scan names it.
+    summary = _fold(data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass"))
     if summary is None:
         for _ in scan(data, source_path):
             pass
@@ -263,15 +265,14 @@ def simulate(
     return summary
 
 
-def _whole_line_slices(data: bytes | str) -> Iterator[bytes | str]:
+def _whole_line_slices(data: bytes) -> Iterator[bytes]:
     """``data`` cut after a newline about every ``_SLICE_BYTES``; a longer
     line is a slice of its own."""
-    newline = "\n" if isinstance(data, str) else b"\n"
     start = 0
     while start < len(data):
-        end = data.rfind(newline, start, start + _SLICE_BYTES)
+        end = data.rfind(b"\n", start, start + _SLICE_BYTES)
         if end < 0:
-            end = data.find(newline, start + _SLICE_BYTES)
+            end = data.find(b"\n", start + _SLICE_BYTES)
         end = len(data) if end < 0 else end + 1
         yield data[start:end]
         start = end
@@ -286,12 +287,10 @@ def _tokens(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return chars[tokens], line, np.diff(line, prepend=-1) == 0
 
 
-def _fold(data: bytes | str) -> PrintSummary | None:
-    """``simulate``'s fold, or None when a check fires: text that is not
+def _fold(data: bytes) -> PrintSummary | None:
+    """``simulate``'s fold, or None when a check fires: bytes that are not
     ASCII, a bare carriage return, a line off the grammar, ``M83``, a repeated
     parameter letter or a layer number that is too long or does not increase."""
-    if isinstance(data, str) and not data.isascii():
-        return None
     counts: Counter[bytes] = Counter()
     histogram: Counter[int] = Counter()
     bounds: dict[str, tuple[float, float]] = {}
@@ -299,7 +298,7 @@ def _fold(data: bytes | str) -> PrintSummary | None:
     last_layer = -1
     e = extruded = 0.0
     for piece in _whole_line_slices(data):
-        chunk = b"\n" + (piece.encode("ascii") if isinstance(piece, str) else piece)
+        chunk = b"\n" + piece
         if b"\r" in chunk:
             chunk = chunk.replace(b"\r\n", b"\n")
         if b"\r" in chunk or not chunk.isascii():

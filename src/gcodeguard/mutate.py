@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Mapping
 
-from .gcode import GcodeDocument, simulate
+from .gcode import GcodeDocument
 from .synthgen import DatasetManifest
 
 __all__ = [
@@ -206,6 +206,9 @@ def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocumen
     if not targets:
         raise EmptyRangeError(f"{sid}: no extruding moves to target in range")
 
+    mutated_e = 0.0
+    for _, code, params, _, _ in new_lines:
+        mutated_e = _moved_e(mutated_e, code, params)
     mutated = GcodeDocument(tuple(new_lines), doc.source_path, doc.final_newline)
     log = MutationLog(
         strategy=sid,
@@ -216,7 +219,7 @@ def apply_strategy(doc: GcodeDocument, strategy: Strategy) -> tuple[GcodeDocumen
         lines_deleted=len(targets) if sid == "ID6" else 0,
         lines_inserted=len(targets) if sid == "ID2" else 0,
         original_final_e=orig_e,
-        mutated_final_e=simulate(mutated).final_e,
+        mutated_final_e=mutated_e,
     )
     return mutated, log
 

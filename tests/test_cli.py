@@ -84,12 +84,6 @@ class TestExperimentConfig:
             self.base(detectors=("single_stat", "psychic")).validate()
         with pytest.raises(ValueError):
             self.base(range_overrides={"ID1": "middle75"}).validate()
-        with pytest.raises(ValueError, match="unknown detector: 'nosuch'"):
-            self.base(detector_params={"dbscan": {}, "nosuch": {}}).validate()
-        with pytest.raises(ValueError, match="^detector params must be a JSON object, got list$"):
-            self.base(detector_params=[]).validate()
-        with pytest.raises(ValueError, match="^dbscan: parameter overrides must be a JSON object"):
-            self.base(detector_params={"dbscan": 5}).validate()
 
     def test_strategy_resolution(self):
         cfg = self.base(range_overrides={"ID1": "full100"})
@@ -243,7 +237,7 @@ def per_file_matrix(src, manifest):
 class TestDetectCorpusSinglePass:
     def test_features_csv_matches_per_file_extraction(self, tiny_corpus, tmp_path):
         src, manifest = tiny_corpus
-        detect_corpus(src, tmp_path / "flags", ("single_stat",), {})
+        detect_corpus(src, tmp_path / "flags", ("single_stat",))
         fm = per_file_matrix(src, manifest)
         write_features_csv(fm, tmp_path / "expected.csv")
         assert (tmp_path / "flags" / "features.csv").read_bytes() == (
@@ -258,7 +252,7 @@ class TestDetectCorpusSinglePass:
 
         monkeypatch.setattr(cli, "parse_document", refuse)
         monkeypatch.setattr(GcodeDocument, "__init__", refuse)
-        detect_corpus(src, tmp_path / "flags", ("single_stat",), {})
+        detect_corpus(src, tmp_path / "flags", ("single_stat",))
         rows = (tmp_path / "flags" / "features.csv").read_text().splitlines()
         assert len(rows) == 1 + len(manifest.entries)
 
@@ -273,12 +267,12 @@ class TestDetectCorpusComputesOnce:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(detectors, name, counted)
-        detect_corpus(src, tmp_path / "flags", DETECTOR_NAMES, {})
+        detect_corpus(src, tmp_path / "flags", DETECTOR_NAMES)
         assert calls == {"standardize": 1, "fit_pca": 1, "cluster_agglomerative": 1}
 
     def test_scatter_is_ward_on_the_pca_projection(self, tiny_corpus, tmp_path):
         src, manifest = tiny_corpus
-        detect_corpus(src, tmp_path / "flags", DETECTOR_NAMES, {})
+        detect_corpus(src, tmp_path / "flags", DETECTOR_NAMES)
         fm = per_file_matrix(src, manifest)
         z = standardize(fm.matrix)
         pts = fit_pca(z, 2).transform(z)
@@ -331,7 +325,7 @@ class TestRunAll:
         original, blind, truth_dir, flags_dir, _ = (tmp_path / n for n in cli.RUN_LAYOUT)
         manifest = cli.generate_corpus(cfg, original)
         _, truth = cli.compromise_corpus(cfg, original, blind, truth_dir)
-        flag_sets = detect_corpus(blind, flags_dir, cfg.detectors, cfg.detector_params)
+        flag_sets = detect_corpus(blind, flags_dir, cfg.detectors)
         assert len(truth.victims) == 2
         assert DatasetManifest.load(original / "manifest.json") == manifest
         assert DatasetManifest.load(blind / "manifest.json") == manifest
@@ -358,23 +352,6 @@ class TestRunAll:
         assert main(["run-all", "--config", cfg, "--out", str(run)]) == 0
         run_tree = {k: v for k, v in tree_bytes(run).items() if k.name != "run_metadata.json"}
         assert tree_bytes(steps) == run_tree
-
-
-# Out-of-range overrides: a NaN bandwidth or eps would run the clustering on
-# NaN and flag clean files, a null threshold or fractional min_samples would
-# raise inside the detector.
-OUT_OF_RANGE_OVERRIDES = [
-    (
-        {"pca_meanshift": {"bandwidth": float("nan")}},
-        "pca_meanshift: bandwidth must be a finite number > 0, got nan",
-    ),
-    ({"dbscan": {"eps": float("nan")}}, "dbscan: eps must be a finite number > 0, got nan"),
-    (
-        {"single_stat": {"threshold": None}},
-        "single_stat: threshold must be a finite number > 0, got None",
-    ),
-    ({"dbscan": {"min_samples": 2.5}}, "dbscan: min_samples must be an int >= 1, got 2.5"),
-]
 
 
 # Config values that int() would take but that are not what was meant.
@@ -412,6 +389,14 @@ STRICT_CONFIGS = [
     (
         {"preset": "d1", "detectors": ["single_stat", "dbscan", "single_stat"]},
         "detector named twice: 'single_stat'",
+    ),
+    ({"preset": ["d1"]}, "unknown preset: ['d1']"),
+    ({"preset": "d9"}, "unknown preset: 'd9'"),
+    ({"count": 12, "angular_step": 30.0}, "missing config key(s): 'dataset_id'"),
+    # Detectors run with their own constants: there is no key to set them.
+    (
+        {"preset": "d1", "detector_params": {"dbscan": {"eps": 9}}},
+        "unknown config key(s): 'detector_params'",
     ),
 ]
 
@@ -474,63 +459,6 @@ class TestErrorPaths:
             "--detectors", "psychic",
         ]) == 1
 
-    @pytest.mark.parametrize(
-        "params,message",
-        [
-            ({"dbscan": {"epsilon": 0.5}}, "dbscan: unknown parameter override(s): 'epsilon'"),
-            ({"dbscan": {"eps": 0.5}, "nosuch": {}}, "unknown detector: 'nosuch'"),
-        ],
-    )
-    def test_unknown_detector_params(self, params, message, tiny_corpus, tmp_path, capsys):
-        src, _ = tiny_corpus
-        params_path = tmp_path / "params.json"
-        params_path.write_text(json.dumps(params))
-        out = tmp_path / "flags"
-        assert main([
-            "detect", "--src", str(src), "--out", str(out), "--params", str(params_path),
-        ]) == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "params,message",
-        [
-            ({"dbscan": 5}, "dbscan: parameter overrides must be a JSON object, got int"),
-            ([], "detector params must be a JSON object, got list"),
-            *OUT_OF_RANGE_OVERRIDES,
-        ],
-    )
-    def test_malformed_detector_params(self, params, message, tiny_corpus, tmp_path, capsys):
-        src, _ = tiny_corpus
-        params_path = tmp_path / "params.json"
-        params_path.write_text(json.dumps(params))
-        out = tmp_path / "flags"
-        assert main([
-            "detect", "--src", str(src), "--out", str(out), "--params", str(params_path),
-        ]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("params,message", OUT_OF_RANGE_OVERRIDES)
-    def test_out_of_range_detector_params_in_config(self, params, message, tmp_path, capsys):
-        # run-all refuses the config before it generates anything
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"preset": "d1", "detector_params": params}))
-        out = tmp_path / "run"
-        assert main(["run-all", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
-
-    def test_malformed_detector_params_in_config(self, tmp_path, capsys):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"preset": "d1", "detector_params": {"dbscan": 5}}))
-        out = tmp_path / "run"
-        assert main(["run-all", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: dbscan: parameter overrides must be a JSON object, got int\n"
-        )
-        assert not out.exists()
-
     def test_empty_corpus(self, tmp_path):
         assert main([
             "detect", "--src", str(tmp_path), "--out", str(tmp_path / "f"),
@@ -592,18 +520,15 @@ class TestErrorPaths:
         )
         assert not (tmp_path / "o").exists()
 
-    def test_params_that_are_not_json_name_the_file(self, tiny_corpus, tmp_path, capsys):
+    def test_params_flag_is_an_argparse_error(self, tiny_corpus, tmp_path, capsys):
         src, _ = tiny_corpus
         params_path = tmp_path / "params.json"
-        params_path.write_text("{dbscan}")
+        params_path.write_text(json.dumps({"dbscan": {"eps": 9}}))
         out = tmp_path / "flags"
-        assert main([
-            "detect", "--src", str(src), "--out", str(out), "--params", str(params_path),
-        ]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {params_path}: Expecting property name enclosed in double quotes: "
-            "line 1 column 2 (char 1)\n"
-        )
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--src", str(src), "--out", str(out), "--params", str(params_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --params" in capsys.readouterr().err
         assert not out.exists()
 
     def test_one_file_with_stat_detectors_only(self, tiny_corpus, tmp_path, capsys):

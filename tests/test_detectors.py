@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from gcodeguard import detectors
 from gcodeguard.detectors import (
+    DBSCAN_MIN_SAMPLES,
     DETECTOR_NAMES,
+    SMALL_CLUSTER_FRACTION,
     FlagSet,
     Z_THRESHOLD,
     cluster_agglomerative,
@@ -632,65 +634,20 @@ class TestRunDetector:
         with pytest.raises(ValueError):
             run_detector("voodoo", jittered_fm)
 
-    @pytest.mark.parametrize(
-        "name,params,leftover",
-        [
-            ("dbscan", {"epsilon": 0.5, "eps": 2.5}, "'epsilon'"),
-            ("single_stat", {"min_fraction": 0.1}, "'min_fraction'"),
-            ("pca_agglomerative", {"bandwidth": 1.0, "nosuch": 0}, "'bandwidth', 'nosuch'"),
-        ],
-    )
-    def test_unknown_override_rejected(self, name, params, leftover, jittered_fm):
-        with pytest.raises(ValueError) as exc:
-            run_detector(name, jittered_fm, params)
-        assert str(exc.value) == f"{name}: unknown parameter override(s): {leftover}"
-
-    @pytest.mark.parametrize(
-        "name,key,value",
-        [
-            ("single_stat", "threshold", None),
-            ("combined_stat", "threshold", float("inf")),
-            ("single_stat", "threshold", True),
-            ("single_stat", "threshold", 0),
-            ("single_stat", "threshold", "3.5"),
-            ("pca_meanshift", "bandwidth", float("nan")),
-            ("pca_meanshift", "bandwidth", -1.0),
-            ("dbscan", "eps", float("nan")),
-            ("dbscan", "eps", float("-inf")),
-            ("pca_agglomerative", "min_fraction", 1.0),
-            ("pca_meanshift", "min_fraction", float("nan")),
-            ("dbscan", "min_fraction", -0.01),
-            ("dbscan", "min_samples", 2.5),
-            ("dbscan", "min_samples", 5.0),
-            ("dbscan", "min_samples", 0),
-            ("dbscan", "min_samples", True),
-            # would pass, then fail to save as JSON in the flag set
-            ("dbscan", "min_samples", np.int64(5)),
-            ("single_stat", "threshold", np.float32(3.5)),
-        ],
-    )
-    def test_out_of_range_override_rejected(self, name, key, value, jittered_fm):
-        with pytest.raises(ValueError, match=f"^{name}: {key} must be "):
-            run_detector(name, jittered_fm, {key: value})
-        with pytest.raises(ValueError, match=f"^{name}: {key} must be "):
-            detectors.check_detectors((name,), {name: {key: value}})
-
-    def test_in_range_overrides_accepted(self, jittered_fm):
-        params = {
-            "single_stat": {"threshold": 3},
-            "combined_stat": {"threshold": np.float64(3.5)},
-            "pca_agglomerative": {"min_fraction": 0},
-            "pca_meanshift": {"bandwidth": 2.0, "min_fraction": 0.5},
-            "dbscan": {"eps": 2.5, "min_samples": 1},
+    def test_parameters_record_the_constants(self, jittered_fm):
+        small = max(2.0, SMALL_CLUSTER_FRACTION * len(jittered_fm.paths))
+        eps = knee_epsilon(standardize(jittered_fm.matrix), k=DBSCAN_MIN_SAMPLES - 1)
+        expected = {
+            "single_stat": {"threshold": Z_THRESHOLD},
+            "combined_stat": {"threshold": Z_THRESHOLD},
+            "pca_agglomerative": {"small_cluster_max": small},
+            "pca_meanshift": {"small_cluster_max": small, "bandwidth": "p30 pairwise"},
+            "dbscan": {"small_cluster_max": small, "eps": eps, "min_samples": DBSCAN_MIN_SAMPLES},
         }
-        detectors.check_detectors(tuple(params), params)
-        for name, overrides in params.items():
-            assert run_detector(name, jittered_fm, overrides).detector == name
-
-    def test_dbscan_overrides_echoed(self, jittered_fm):
-        flags = run_detector("dbscan", jittered_fm, {"eps": 2.5, "min_samples": 3})
-        assert flags.parameters["eps"] == 2.5
-        assert flags.parameters["min_samples"] == 3
+        assert tuple(expected) == DETECTOR_NAMES
+        for name, constants in expected.items():
+            parameters = run_detector(name, jittered_fm).parameters
+            assert {key: parameters[key] for key in constants} == constants, name
 
     def test_flagset_round_trip(self, jittered_fm, tmp_path):
         flags = run_detector("combined_stat", jittered_fm)

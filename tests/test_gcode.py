@@ -579,6 +579,7 @@ def test_scan_records():
             "ordinal not in range(128)",
         ),
         ("G1 X1 ;\u00b5\n", "p.gcode: not ASCII"),
+        ("G1 X1 ;\ud800\n", "p.gcode: not ASCII"),
         (b"G1 X1\rG1 X2\n", "p.gcode: bare carriage return"),
         (b"G1 X1\nnot gcode\n", "p.gcode: unrecognized line syntax (line 2): 'not gcode'"),
         (
@@ -601,7 +602,7 @@ def test_scan_records():
         ),
     ],
     ids=[
-        "bytes-not-ascii", "str-not-ascii", "bare-cr", "bad-syntax", "m83",
+        "bytes-not-ascii", "str-not-ascii", "str-lone-surrogate", "bare-cr", "bad-syntax", "m83",
         "duplicate-letter", "layer-not-increasing", "first-fault-wins", "crlf-layer",
         "layer-number-too-long",
     ],
