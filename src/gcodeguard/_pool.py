@@ -29,11 +29,11 @@ R = TypeVar("R")
 
 # Items one worker must have before it is worth starting. Forking two
 # workers and shutting them down costs 7-10 ms of wall time on two cores;
-# generating a file takes 5-8 ms and folding one into its features 11-23 ms
-# (d1 and D2 files). Measured on two cores, two workers already won at 4
-# files each (generate 34 against 43 ms in one process, fold 68 against
-# 106 ms) and by 20-35% at 8 files each (74 against 92 ms, 164 against
-# 254 ms).
+# generating a file takes 5-8 ms and folding one into its features 6-12 ms
+# (d1 and D2 files). Measured on two cores, two workers at 4 files each won
+# generate (34 against 43 ms in one process) but only broke even on the fold
+# (72-104 against 80-108 ms); at 8 files each they won both, generate by 20%
+# (74 against 92 ms) and the fold by 11-40% (128-157 against 147-230 ms).
 FILES_PER_WORKER = 8
 # Items sent to a worker per round trip: 4 files are 20-90 ms of work, so
 # queueing costs little and the last chunks still spread over the workers.

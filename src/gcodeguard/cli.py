@@ -225,15 +225,26 @@ def write_compromised(
 
     Files are copied, or parsed, mutated and logged, in worker processes as
     in ``generate`` and ``detect``; when files fail, the first in manifest
-    order names the error. Returns the truth written to ``truth.json``: the
-    plan without the victims that their strategy could not touch.
+    order names the error and what the call wrote is taken away. Returns the
+    truth written to ``truth.json``: the plan without the victims that their
+    strategy could not touch.
     """
-    out.mkdir(parents=True, exist_ok=True)
     logs_dir = truth_dir / "logs"
+    made = {d for d in (out, *out.parents, logs_dir, *logs_dir.parents) if not d.exists()}
+    out.mkdir(parents=True, exist_ok=True)
     logs_dir.mkdir(parents=True, exist_ok=True)
     assigned = {v.path: cfg.strategy(v.strategy) for v in plan.victims}
     items = [(entry.path, assigned.get(entry.path)) for entry in manifest.entries]
-    reasons = map_ordered(partial(_compromise_file, src, out, logs_dir), items)
+    try:
+        reasons = map_ordered(partial(_compromise_file, src, out, logs_dir), items)
+    except BaseException:
+        # Every worker has exited: take away what this call wrote.
+        logs = [logs_dir / f"{Path(p).stem}.json" for p in assigned]
+        for path in [out / p for p, _ in items] + logs:
+            path.unlink(missing_ok=True)
+        for d in sorted(made, key=lambda d: len(d.parts), reverse=True):
+            d.rmdir()
+        raise
     skipped = set()
     for (path, _), reason in zip(items, reasons):
         if reason is not None:

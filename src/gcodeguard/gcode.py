@@ -21,15 +21,15 @@ letters, increasing layer marks) and yields one plain tuple per line,
 names a fault, in a ``MalformedFileError``. A ``GcodeDocument`` is those
 records held in order, for code that edits or re-serializes a file.
 
-``simulate`` is the one fold that counts. It reads a file's bytes in
-slices of whole lines and folds each slice with compiled regular
-expressions and numpy, never line by line in Python. A line's shape, its
-text with the comment cut and each digit made 0, decides its grammar, its
-repeated letters and its E decimal places, so those are checked once per
-distinct shape in a slice, the grammar by a pattern built from the
-scanner's fragments. Each slice's numbers are read in one float pass. When
-a check fires, ``simulate`` runs ``scan`` over its input, which raises the
-first fault's message. Text, and records (a document or ``scan`` itself)
+``simulate`` is the one fold that counts. It folds a file's bytes in
+slices of whole lines with compiled regular expressions and numpy, never
+line by line in Python. A line's shape, its text with the comment cut and
+each digit made 0, decides its grammar, its repeated letters and its E
+decimal places, so those are checked once per distinct shape in a slice.
+A command's code is read from the bytes as one integer, its letter and up
+to three digits (a longer code by its text), and a slice's numbers in one
+float pass. When a check fires, ``simulate`` runs ``scan``, which raises
+the first fault's message. Text, and records (a document or ``scan``)
 joined back into text, are encoded as UTF-8 once and folded the same way.
 
 Only absolute extrusion is supported. ``M83`` (relative extrusion) is
@@ -99,8 +99,7 @@ _VALID_LINE_RE = re.compile(
 # One match per framed valid shape: "E" and the decimal places of its E
 # parameter, or two empty groups. An E code is its line's first letter.
 _E_PLACES_RE = re.compile(rb"\n[^A-Z;\n]*(?:[A-Z][^E;\n]*(E)?[-+]?0*\.?(0*))?")
-# Each non-blank line's code, or ";" for a comment line.
-_LINE_START_RE = re.compile(rf"\n{_WS}*({_CODE}|;)".encode())
+_COMMENT_LINE_RE = re.compile(rf"\n{_WS}*;".encode())
 _LAYER_LINE_RE = re.compile(rf"\n{_WS}*;{_WS}*{_LAYER_MARK}{_WS}*(?=\n)".encode())
 # Leaves each token's number as a whitespace-separated word, comments cut.
 _NUMBERS_ONLY = bytes.maketrans(
@@ -259,8 +258,7 @@ def simulate(
     # character fails a slice check and scan names it.
     summary = _fold(data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass"))
     if summary is None:
-        for _ in scan(data, source_path):
-            pass
+        list(scan(data, source_path))  # raises the first fault's message
         raise RuntimeError(f"{source_path or '<data>'}: slice checks fired on a file scan accepts")
     return summary
 
@@ -278,13 +276,18 @@ def _whole_line_slices(data: bytes) -> Iterator[bytes]:
         start = end
 
 
-def _tokens(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each token's letter, line and whether it is a parameter, not its line's
-    code, in text on the grammar with comments cut: every letter starts a token."""
-    chars = np.frombuffer(text, np.uint8)
+def _tokens(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``text``, two bytes longer, and each token's position, line and whether it is a
+    parameter, not its line's code, in grammar text, comments cut: a letter starts one."""
+    chars = np.frombuffer(text + b"\n\n", np.uint8)
     tokens = np.flatnonzero((chars >= ord("A")) & (chars <= ord("Z")))
     line = np.searchsorted(np.flatnonzero(chars == ord("\n")), tokens)
-    return chars[tokens], line, np.diff(line, prepend=-1) == 0
+    return chars, tokens, line, np.diff(line, prepend=-1) == 0
+
+
+# A code of at most three digits as one integer: a byte per character, zero-filled.
+_G0, _G1, _G92 = np.array([b"G0", b"G1", b"G92"], "S4").view(">u4").tolist()
+_CODE_AT_RE = re.compile(_CODE.encode())
 
 
 def _fold(data: bytes) -> PrintSummary | None:
@@ -294,7 +297,7 @@ def _fold(data: bytes) -> PrintSummary | None:
     counts: Counter[bytes] = Counter()
     histogram: Counter[int] = Counter()
     bounds: dict[str, tuple[float, float]] = {}
-    lines = layers = 0
+    lines = layers = comments = 0
     last_layer = -1
     e = extruded = 0.0
     for piece in _whole_line_slices(data):
@@ -312,8 +315,8 @@ def _fold(data: bytes) -> PrintSummary | None:
         # The grammar first: the token arrays assume it.
         if _VALID_LINE_RE.sub(b"", framed) != b"\n":
             return None
-        letters, line, param = _tokens(framed)
-        keys = np.sort((line * 128 + letters)[param])
+        chars, tokens, line, param = _tokens(framed)
+        keys = np.sort((line * 128 + chars[tokens])[param])
         if (keys[1:] == keys[:-1]).any():
             return None
         places = _E_PLACES_RE.findall(framed, 0, len(framed) - 1)
@@ -321,8 +324,7 @@ def _fold(data: bytes) -> PrintSummary | None:
             if has_e:
                 histogram[len(digits)] += n
         lines += chunk.count(b"\n") - 1
-        heads = _LINE_START_RE.findall(text)
-        counts.update(heads)
+        comments += len(_COMMENT_LINE_RE.findall(text))
         try:
             marks = [last_layer, *map(int, _LAYER_LINE_RE.findall(chunk))]
         except ValueError:  # more digits than int() converts
@@ -332,17 +334,26 @@ def _fold(data: bytes) -> PrintSummary | None:
         layers += len(marks) - 1
         last_layer = marks[-1]
 
-        letters, _, param = _tokens(text)
-        # Each token's line code: the heads of the command lines, in order.
-        codes = np.array(heads, "S")  # bytes, also when there are none
-        codes = codes[codes != b";"][np.cumsum(~param) - 1]
-        g1 = codes == b"G1"
-        move = param & (g1 | (codes == b"G0"))
-        registered = param & (letters == ord("E")) & (move | (codes == b"G92"))
+        chars, tokens, _, param = _tokens(text)
+        letters = chars[tokens]
+        # Each command line's code, its first token: its letter and the next four
+        # bytes (the last line's too), each digit kept up to the first non-digit.
+        heads = chars[tokens[~param, None] + np.arange(5)]
+        digits = np.logical_and.accumulate(heads[:, 1:] - ord("0") < 10, axis=1)
+        heads[:, 1:4] *= digits[:, :3]
+        keys = heads[:, :4].copy().view(">u4")[:, 0]
+        long = digits[:, 3]  # four digits or more: counted by its text
+        found, n = np.unique(keys[~long], return_counts=True)
+        counts.update(dict(zip(found.view("S4").tolist(), n.tolist())))
+        counts.update(_CODE_AT_RE.match(text, at)[0] for at in tokens[~param][long].tolist())
+        codes = keys[np.cumsum(~param) - 1]  # each token's line code
+        g1 = codes == _G1
+        move = param & (g1 | (codes == _G0))
+        registered = param & (letters == ord("E")) & (move | (codes == _G92))
         # One float pass: the E targets, and the X, Y and Z (the last letters) of moves.
         wanted = registered | (move & (letters >= ord("X")))
         numbers = compress(text.translate(_NUMBERS_ONLY).split(), wanted.tolist())
-        values = np.array(list(map(float, numbers)))
+        values = np.fromiter(map(float, numbers), float)
         letters = letters[wanted]
 
         register = np.append(e, values[letters == ord("E")])
@@ -361,7 +372,6 @@ def _fold(data: bytes) -> PrintSummary | None:
 
     if b"M83" in counts:
         return None
-    comments = counts.pop(b";", 0)
     command_counts = {code.decode(): n for code, n in counts.items()}
     return PrintSummary(
         final_e=float(e),

@@ -247,9 +247,13 @@ class CompromisePlan:
                 VictimAssignment(v["path"], v["strategy"]) for v in data["victims"]
             ),
         )
+        seen: set[str] = set()
         for victim in plan.victims:
             if victim.strategy not in STRATEGY_IDS:
                 raise ValueError(f"unknown strategy in victims: {victim.strategy!r}")
+            if victim.path in seen:
+                raise ValueError(f"victim path listed twice: {victim.path!r}")
+            seen.add(victim.path)
         return plan
 
 

@@ -438,6 +438,10 @@ MALFORMED_EVALUATE_INPUTS = [
      {"dataset_id": "D1", "generator_version": "1",
       "entries": [{"path": "a.gcode", "angle_deg": 0.0, "seed": 1}] * 2},
      "entry path listed twice: 'a.gcode'"),
+    ("truth.json",
+     {"dataset_id": "D1", "seed": 1,
+      "victims": [{"path": "a.gcode", "strategy": "ID1"}, {"path": "a.gcode", "strategy": "ID3"}]},
+     "victim path listed twice: 'a.gcode'"),
 ]
 
 # Manifest entry paths that compromise must refuse before it writes anything:
@@ -772,6 +776,28 @@ class TestPooledStages:
             )
         assert capsys.readouterr().err == f"error: {first}: {reason}\n"
         assert not (tmp_path / "out" / "truth" / "truth.json").exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_failed_compromise_leaves_nothing_behind(self, pooled, pooled_corpus, pooled_config,
+                                                     tmp_path, monkeypatch, capsys):
+        """The first victim fails while the other files are still being
+        copied and mutated; neither copy nor logs are left."""
+        src = tmp_path / "hostile"
+        shutil.copytree(pooled_corpus[0], src)
+        manifest = DatasetManifest.load(src / "manifest.json")
+        counts = {sid: 1 for sid in STRATEGY_IDS}
+        plan = plan_compromise(manifest, counts, stage_seed(5, "compromise"))
+        first = min(v.path for v in plan.victims)
+        with open(src / first, "a") as fh:
+            fh.write("M83\n")
+        if not pooled:
+            single_cpu(monkeypatch)
+        assert pooled_compromise(pooled_config, src, tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith(f"error: {first}: relative extrusion (M83)")
+        assert not (tmp_path / "out" / "blind").exists()
+        assert not (tmp_path / "out" / "truth").exists()
+        assert not (tmp_path / "out").exists()
         assert multiprocessing.active_children() == []
 
 

@@ -200,6 +200,16 @@ class TestSimulate:
         )
 
 
+def test_long_and_zero_padded_codes_count_apart():
+    data = b"G01 X1 E1\nG0001 X2 E2\nG1 X3 E3\nM12345678 E4\nG0001 X4\n"
+    summary = simulate(data)
+    assert summary.command_counts == {"G01": 1, "G0001": 2, "G1": 1, "M12345678": 1}
+    # Only the G1 is a move: it alone extrudes, sets E and widens the bounds.
+    assert (summary.total_extruded, summary.final_e) == (3.0, 3.0)
+    assert summary.bounds == {"X": (3.0, 3.0)}
+    assert summary == plain_simulate(scan(data))
+
+
 class TestCountDecimals:
     """Decimal places of an E number, as ``simulate``'s histogram counts them."""
 
@@ -342,6 +352,8 @@ _param_line = st.tuples(
         ["G0", "G1", "G1", "G92", "M82", "M104", "M106", "G28", "G10", "G01", "E5", "X12"]
         # Codes of M83's shape, which only the line's digits tell apart.
         + ["M80", "M830", "M8"]
+        # Codes of four digits and more, and zero-padded ones.
+        + ["G0001", "M1040", "M12345678", "G000000000000000001"]
     ),
     st.lists(st.tuples(st.sampled_from("XYZEFS"), _number), max_size=5, unique_by=lambda t: t[0]),
     _edge_space,
