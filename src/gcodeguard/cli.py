@@ -12,8 +12,9 @@ Stage randomness derives from one master seed: each stage hashes the seed
 with its own label, so rerunning any stage with the same configuration
 reproduces its output byte for byte. Run directories contain only relative
 paths; the single timestamp lives in ``run_metadata.json``. A configuration
-names which detectors run, never how they judge: each runs with the
-constants documented in ``detectors``.
+names which files are victims and which detectors run, never how either
+works: each strategy runs on the range documented in ``mutate``, and each
+detector with the constants documented in ``detectors``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .mutate import (
     STRATEGY_IDS,
     CompromisePlan,
     EmptyRangeError,
-    RangeMode,
     Strategy,
     apply_strategy,
     check_victims,
@@ -58,26 +58,12 @@ class ExperimentConfig:
     victims: dict[str, int] = field(default_factory=dict)
     seed: int = 719
     detectors: tuple[str, ...] = DETECTOR_NAMES
-    range_overrides: dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
         preset_spec(self.dataset_id)  # raises on unknown ids
         check_sweep(self.count, self.angular_step)
         check_victims(self.victims, self.count)
         check_detectors(self.detectors)
-        if not isinstance(self.range_overrides, dict):
-            raise ValueError(
-                f"range_overrides must be a JSON object, got {type(self.range_overrides).__name__}"
-            )
-        for sid, mode in self.range_overrides.items():
-            if sid not in STRATEGY_IDS:
-                raise ValueError(f"unknown strategy in range_overrides: {sid!r}")
-            RangeMode(mode)  # raises on bad values
-
-    def strategy(self, sid: str) -> Strategy:
-        if sid in self.range_overrides:
-            return Strategy(sid, RangeMode(self.range_overrides[sid]))
-        return Strategy.default(sid)
 
 
 PRESETS: dict[str, ExperimentConfig] = {
@@ -158,7 +144,6 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
                 victims={k: _number(f"victims {k}", v, int) for k, v in victims.items()},
                 seed=_number("seed", data.get("seed", 719), int),
                 detectors=tuple(detectors),
-                range_overrides=data.get("range_overrides", {}),
             )
         except (TypeError, AttributeError) as exc:
             # A value of the wrong JSON type, e.g. "count": null.
@@ -190,7 +175,7 @@ def compromise_corpus(
     corpus manifest and the ground truth written."""
     manifest = DatasetManifest.load(src / "manifest.json")
     plan = plan_compromise(manifest, cfg.victims, stage_seed(cfg.seed, "compromise"))
-    return manifest, write_compromised(src, out, truth_dir, manifest, plan, cfg)
+    return manifest, write_compromised(src, out, truth_dir, manifest, plan)
 
 
 def _compromise_file(src: Path, out: Path, logs_dir: Path, item: tuple) -> str | None:
@@ -219,28 +204,29 @@ def write_compromised(
     truth_dir: Path,
     manifest: DatasetManifest,
     plan: CompromisePlan,
-    cfg: ExperimentConfig,
 ) -> CompromisePlan:
     """Copy a corpus, mutating the planned victims; write truth and logs.
 
     Files are copied, or parsed, mutated and logged, in worker processes as
     in ``generate`` and ``detect``; when files fail, the first in manifest
-    order names the error and what the call wrote is taken away. Returns the
-    truth written to ``truth.json``: the plan without the victims that their
-    strategy could not touch.
+    order names the error, and what the call wrote and any earlier index and
+    truth there are taken away. Returns the truth written to ``truth.json``:
+    the plan without the victims that their strategy could not touch.
     """
     logs_dir = truth_dir / "logs"
     made = {d for d in (out, *out.parents, logs_dir, *logs_dir.parents) if not d.exists()}
     out.mkdir(parents=True, exist_ok=True)
     logs_dir.mkdir(parents=True, exist_ok=True)
-    assigned = {v.path: cfg.strategy(v.strategy) for v in plan.victims}
+    assigned = {v.path: Strategy.default(v.strategy) for v in plan.victims}
     items = [(entry.path, assigned.get(entry.path)) for entry in manifest.entries]
     try:
         reasons = map_ordered(partial(_compromise_file, src, out, logs_dir), items)
     except BaseException:
-        # Every worker has exited: take away what this call wrote.
+        # Every worker has exited: take away what this call wrote, and the
+        # index and truth of any earlier run, which name the removed copies.
         logs = [logs_dir / f"{Path(p).stem}.json" for p in assigned]
-        for path in [out / p for p, _ in items] + logs:
+        index = [out / "manifest.json", truth_dir / "truth.json"]
+        for path in [out / p for p, _ in items] + logs + index:
             path.unlink(missing_ok=True)
         for d in sorted(made, key=lambda d: len(d.parts), reverse=True):
             d.rmdir()

@@ -99,7 +99,6 @@ _VALID_LINE_RE = re.compile(
 # One match per framed valid shape: "E" and the decimal places of its E
 # parameter, or two empty groups. An E code is its line's first letter.
 _E_PLACES_RE = re.compile(rb"\n[^A-Z;\n]*(?:[A-Z][^E;\n]*(E)?[-+]?0*\.?(0*))?")
-_COMMENT_LINE_RE = re.compile(rf"\n{_WS}*;".encode())
 _LAYER_LINE_RE = re.compile(rf"\n{_WS}*;{_WS}*{_LAYER_MARK}{_WS}*(?=\n)".encode())
 # Leaves each token's number as a whitespace-separated word, comments cut.
 _NUMBERS_ONLY = bytes.maketrans(
@@ -230,8 +229,6 @@ class PrintSummary:
     bounds: dict[str, tuple[float, float]]
     layer_count: int
     command_counts: dict[str, int]
-    comment_lines: int
-    blank_lines: int
     total_lines: int
     e_decimal_histogram: dict[int, int]
 
@@ -297,7 +294,7 @@ def _fold(data: bytes) -> PrintSummary | None:
     counts: Counter[bytes] = Counter()
     histogram: Counter[int] = Counter()
     bounds: dict[str, tuple[float, float]] = {}
-    lines = layers = comments = 0
+    lines = layers = 0
     last_layer = -1
     e = extruded = 0.0
     for piece in _whole_line_slices(data):
@@ -324,7 +321,6 @@ def _fold(data: bytes) -> PrintSummary | None:
             if has_e:
                 histogram[len(digits)] += n
         lines += chunk.count(b"\n") - 1
-        comments += len(_COMMENT_LINE_RE.findall(text))
         try:
             marks = [last_layer, *map(int, _LAYER_LINE_RE.findall(chunk))]
         except ValueError:  # more digits than int() converts
@@ -372,15 +368,12 @@ def _fold(data: bytes) -> PrintSummary | None:
 
     if b"M83" in counts:
         return None
-    command_counts = {code.decode(): n for code, n in counts.items()}
     return PrintSummary(
         final_e=float(e),
         total_extruded=float(extruded),
         bounds=bounds,
         layer_count=layers,
-        command_counts=command_counts,
-        comment_lines=comments,
-        blank_lines=lines - comments - sum(command_counts.values()),
+        command_counts={code.decode(): n for code, n in counts.items()},
         total_lines=lines,
         e_decimal_histogram=dict(+histogram),
     )

@@ -11,9 +11,10 @@ extruding moves (G1 lines carrying an E parameter) inside a line range:
     ID5  set every 4th extruding move's E to the previous E plus 0.0001
     ID6  delete every 4th extruding move outright
 
-The range is either the middle half of the layer stack (``middle50``, the
-default for all but ID3) or everything from the first layer on (``full100``,
-the default for ID3, whose per-move effect is too small to need hiding).
+``Strategy.default`` fixes each one's range: from the first layer on
+(``full100``) for ID3, whose per-move effect is too small to need hiding,
+else the middle half of the layer stack (``middle50``). Another range is
+a library call.
 
 Rewritten E values go through float parsing and are re-rendered in minimal
 decimal form, the way a quick script would produce them. Untouched lines are
@@ -58,16 +59,6 @@ class RangeMode(enum.Enum):
     FULL100 = "full100"
 
 
-_DEFAULT_RANGE = {
-    "ID1": RangeMode.MIDDLE50,
-    "ID2": RangeMode.MIDDLE50,
-    "ID3": RangeMode.FULL100,
-    "ID4": RangeMode.MIDDLE50,
-    "ID5": RangeMode.MIDDLE50,
-    "ID6": RangeMode.MIDDLE50,
-}
-
-
 @dataclass(frozen=True)
 class Strategy:
     """One attack: a strategy id plus the line range it operates on."""
@@ -81,9 +72,9 @@ class Strategy:
 
     @staticmethod
     def default(strategy_id: str) -> "Strategy":
-        if strategy_id not in _DEFAULT_RANGE:
-            raise ValueError(f"unknown strategy id: {strategy_id!r}")
-        return Strategy(strategy_id, _DEFAULT_RANGE[strategy_id])
+        """The strategy on its documented range."""
+        full = strategy_id == "ID3"
+        return Strategy(strategy_id, RangeMode.FULL100 if full else RangeMode.MIDDLE50)
 
 
 def format_minimal(value: float) -> str:

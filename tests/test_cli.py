@@ -24,7 +24,7 @@ from gcodeguard.cli import (
 from gcodeguard.detectors import DETECTOR_NAMES, FlagSet, cluster_agglomerative, fit_pca
 from gcodeguard.features import build_matrix, extract, standardize, write_features_csv
 from gcodeguard.gcode import GcodeDocument, parse_document
-from gcodeguard.mutate import STRATEGY_IDS, CompromisePlan, RangeMode, plan_compromise
+from gcodeguard.mutate import STRATEGY_IDS, CompromisePlan, plan_compromise
 from gcodeguard.synthgen import DatasetManifest, SpecimenSpec, generate_dataset
 
 
@@ -82,13 +82,6 @@ class TestExperimentConfig:
             self.base(victims={"ID1": 11}).validate()
         with pytest.raises(ValueError):
             self.base(detectors=("single_stat", "psychic")).validate()
-        with pytest.raises(ValueError):
-            self.base(range_overrides={"ID1": "middle75"}).validate()
-
-    def test_strategy_resolution(self):
-        cfg = self.base(range_overrides={"ID1": "full100"})
-        assert cfg.strategy("ID1").range_mode is RangeMode.FULL100
-        assert cfg.strategy("ID6").range_mode is RangeMode.MIDDLE50
 
     def test_json_dict_is_sorted_and_complete(self):
         cfg = self.base(victims={"ID6": 1, "ID1": 2})
@@ -397,6 +390,11 @@ STRICT_CONFIGS = [
     (
         {"preset": "d1", "detector_params": {"dbscan": {"eps": 9}}},
         "unknown config key(s): 'detector_params'",
+    ),
+    # Each strategy runs on its documented range: there is no key to move it.
+    (
+        {"preset": "d1", "range_overrides": {"ID1": "full100"}},
+        "unknown config key(s): 'range_overrides'",
     ),
 ]
 
@@ -798,6 +796,32 @@ class TestPooledStages:
         assert not (tmp_path / "out" / "blind").exists()
         assert not (tmp_path / "out" / "truth").exists()
         assert not (tmp_path / "out").exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_failed_compromise_into_a_reused_out_leaves_no_index(
+        self, pooled, pooled_corpus, pooled_config, tmp_path, monkeypatch, capsys
+    ):
+        """A run that fails into the directories of an earlier good run takes
+        away that run's manifest and truth, which name the copies it removed."""
+        src = tmp_path / "hostile"
+        shutil.copytree(pooled_corpus[0], src)
+        if not pooled:
+            single_cpu(monkeypatch)
+        out = tmp_path / "out"
+        assert pooled_compromise(pooled_config, src, out) == 0
+        assert (out / "blind" / "manifest.json").exists()
+        assert (out / "truth" / "truth.json").exists()
+        truth = json.loads((out / "truth" / "truth.json").read_text())
+        first = min(v["path"] for v in truth["victims"])
+        with open(src / first, "a") as fh:
+            fh.write("M83\n")
+        capsys.readouterr()
+        assert pooled_compromise(pooled_config, src, out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {first}: relative extrusion (M83)")
+        assert not (out / "blind" / "manifest.json").exists()
+        assert not (out / "truth" / "truth.json").exists()
+        assert [p for p in out.rglob("*") if p.is_file()] == []
         assert multiprocessing.active_children() == []
 
 

@@ -190,14 +190,7 @@ class TestSimulate:
         assert summary.e_decimal_histogram == {5: 2, 1: 1}
 
     def test_line_kind_counts_total(self, tiny_doc):
-        summary = simulate(tiny_doc)
-        assert (
-            sum(summary.command_counts.values())
-            + summary.comment_lines
-            + summary.blank_lines
-            == summary.total_lines
-            == len(tiny_doc.lines)
-        )
+        assert simulate(tiny_doc).total_lines == len(tiny_doc.lines)
 
 
 def test_long_and_zero_padded_codes_count_apart():
@@ -307,16 +300,13 @@ def plain_simulate(records) -> PrintSummary:
     counts: dict[str, int] = {}
     bounds: dict[str, tuple[float, float]] = {}
     histogram: dict[int, int] = {}
-    comments = blanks = layers = lines = 0
+    layers = lines = 0
     for _, code, params, comment, _ in records:
         lines += 1
-        if code is None and comment is not None:
-            comments += 1
-            if comment.strip().startswith("LAYER:") and comment.strip()[6:].isdigit():
-                layers += 1
-            continue
         if code is None:
-            blanks += 1
+            mark = (comment or "").strip()
+            if mark.startswith("LAYER:") and mark[6:].isdigit():
+                layers += 1
             continue
         counts[code] = counts.get(code, 0) + 1
         for letter, text in params:
@@ -337,8 +327,6 @@ def plain_simulate(records) -> PrintSummary:
         bounds=bounds,
         layer_count=layers,
         command_counts=counts,
-        comment_lines=comments,
-        blank_lines=blanks,
         total_lines=lines,
         e_decimal_histogram=histogram,
     )
