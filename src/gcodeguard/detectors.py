@@ -19,11 +19,12 @@ bandwidth (the 30th percentile of pairwise distances) and DBSCAN's eps
 (``knee_epsilon``) come from the corpus. Another threshold, eps or
 bandwidth is a call to the function that takes it. Clustering is
 implemented here directly so the only numerical dependency is numpy; one
-chunked kernel, ``_sq_dists``, gives every clustering step its distances.
-Each clustering step works on the distinct rows of its input, weighted by
-how often they repeat (``_distinct``), and maps its labels back to every
-row, so its cost grows with the number of distinct count vectors, not with
-the number of files.
+chunked kernel, ``_sq_dists``, gives every clustering step its distances
+through one cache-sized block. Each clustering step works on the distinct
+rows of its input, weighted by how often they repeat (``_distinct``, one
+sort of the rows' bytes), and maps its labels back to every row, so its
+cost grows with the number of distinct count vectors, not with the number
+of files. DBSCAN's default eps comes from the distances it scans with.
 ``run_detectors`` standardizes and projects a corpus once for all detectors
 and returns that projection and the Ward labels for ``pca_scatter.csv``.
 
@@ -71,9 +72,9 @@ SMALL_CLUSTER_FRACTION = 0.01
 DBSCAN_MIN_SAMPLES = 5
 MEANSHIFT_TOL = 1e-6
 MEANSHIFT_MAX_ITER = 300
-# Scalars per difference block in _sq_dists: 8 MB of float64 whatever the
-# dimension, so peak memory is the n*m result, not an n*m*d tensor.
-_CHUNK_ELEMENTS = 1 << 20
+# Scalars in _sq_dists's one difference block: 512 KB of float64, which stays
+# in cache whatever the dimension; peak memory is the n*m result, not n*m*d.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -244,13 +245,17 @@ def fit_pca(matrix: np.ndarray, n_components: int = 2) -> PCAModel:
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``a`` and ``b``.
 
-    ``a`` is taken in row blocks, which give the same bits as one block.
+    ``a`` is taken in row blocks, which give the same bits as one block; one
+    scratch block is filled a column at a time, each subtraction over ``b``'s rows.
     """
     out = np.empty((len(a), len(b)))
     step = max(1, _CHUNK_ELEMENTS // max(b.size, 1))
+    block = np.empty((min(step, len(a)),) + b.shape)
     for start in range(0, len(a), step):
-        diff = a[start : start + step, None, :] - b[None, :, :]
-        out[start : start + step] = np.einsum("ijk,ijk->ij", diff, diff)
+        diff = block[: len(a) - start]
+        for k in range(b.shape[1]):
+            np.subtract(a[start : start + step, k, None], b[None, :, k], out=diff[:, :, k])
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[start : start + step])
     return out
 
 
@@ -265,13 +270,20 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``inverse``. Keeping first-occurrence order keeps labels that are
     numbered in order of first member unchanged.
     """
-    uniq, first, inverse, counts = np.unique(
-        x, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return uniq[order], counts[order].astype(np.float64), rank[inverse]
+    # One stable sort of the rows' bytes puts each group's first occurrence
+    # first; adding 0.0 makes -0.0 and 0.0 one row, as in np.unique.
+    keys = np.ascontiguousarray(x + 0.0)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.append(True, keys[1:] != keys[:-1])[: len(keys)]
+    first = order[start]
+    by_first = np.argsort(first)
+    rank = np.argsort(by_first)
+    inverse = np.empty_like(order)
+    inverse[order] = rank[np.cumsum(start) - 1]
+    counts = np.diff(np.flatnonzero(np.append(start, True)))
+    return x[first[by_first]], counts[by_first].astype(np.float64), inverse
 
 
 def cluster_agglomerative(points: np.ndarray) -> np.ndarray:
@@ -452,22 +464,25 @@ def knee_epsilon(matrix: np.ndarray, k: int = 4) -> float:
     magnitude past the field median, so neither floor can hide a real tail.
     A point's other copies are neighbours at distance zero.
     """
-    x = np.asarray(matrix, dtype=np.float64)
-    n = len(x)
-    if n <= k:
-        raise ValueError(f"need more than {k} points, got {n}")
-    rows, weight, inverse = _distinct(x)
-    dist = np.sqrt(_sq_dists(rows, rows))
+    rows, weight, inverse = _distinct(np.asarray(matrix, dtype=np.float64))
+    return _knee_epsilon(_sq_dists(rows, rows), weight, inverse, k)
+
+
+def _knee_epsilon(sq: np.ndarray, weight: np.ndarray, inverse: np.ndarray, k: int) -> float:
+    """``knee_epsilon`` from ``_distinct``'s weight and inverse and ``sq``."""
+    if len(inverse) <= k:
+        raise ValueError(f"need more than {k} points, got {len(inverse)}")
+    dist = np.sqrt(sq)
     # A point's own row stands for its m - 1 other copies at distance 0 and
     # every other row for at least one neighbour, so the k nearest
     # neighbours lie among the k + 1 nearest distinct rows.
-    near = np.argpartition(dist, min(k, len(rows) - 1), axis=1)[:, : k + 1]
+    near = np.argpartition(dist, min(k, len(weight) - 1), axis=1)[:, : k + 1]
     near = np.take_along_axis(
         near, np.argsort(np.take_along_axis(dist, near, axis=1), axis=1), axis=1
     )
-    copies = weight[near] - (near == np.arange(len(rows))[:, None])
+    copies = weight[near] - (near == np.arange(len(weight))[:, None])
     hit = np.argmax(np.cumsum(copies, axis=1) >= k, axis=1)
-    kth = dist[np.arange(len(rows)), near[np.arange(len(rows)), hit]][inverse]
+    kth = dist[np.arange(len(weight)), near[np.arange(len(weight)), hit]][inverse]
     curve = np.sort(kth)
     m = len(curve)
     x0, y0 = 0.0, curve[0]
@@ -501,14 +516,14 @@ def cluster_dbscan(
     label, so the scan runs over distinct points and a point's neighbours
     count with their multiplicities.
     """
-    x = np.asarray(matrix, dtype=np.float64)
+    rows, weight, inverse = _distinct(np.asarray(matrix, dtype=np.float64))
+    sq = _sq_dists(rows, rows)
     if eps is None:
-        eps = knee_epsilon(x, k=min_samples - 1)
+        eps = _knee_epsilon(sq, weight, inverse, min_samples - 1)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-
-    rows, weight, inverse = _distinct(x)
-    within = _sq_dists(rows, rows) <= eps * eps
+    within = sq <= eps * eps
+    del sq
     neighbors = [np.flatnonzero(row) for row in within]
     core = within @ weight >= min_samples
 

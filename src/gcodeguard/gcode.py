@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import operator
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
@@ -255,7 +255,7 @@ def simulate(
     # character fails a slice check and scan names it.
     summary = _fold(data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass"))
     if summary is None:
-        list(scan(data, source_path))  # raises the first fault's message
+        deque(scan(data, source_path), maxlen=0)  # raises the first fault's message
         raise RuntimeError(f"{source_path or '<data>'}: slice checks fired on a file scan accepts")
     return summary
 

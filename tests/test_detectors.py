@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import tracemalloc
 
@@ -84,18 +85,29 @@ def broadcast_sq_dists(a, b):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+# Row edges of _sq_dists's blocks: a square input of SQUARE_EDGE rows at d = 4
+# fills one block exactly, and a block against a 300x8 right side holds
+# RECT_STEP rows.
+SQUARE_EDGE = math.isqrt(detectors._CHUNK_ELEMENTS // 4)
+RECT_STEP = detectors._CHUNK_ELEMENTS // (300 * 8)
+
+
 class TestSqDists:
-    @pytest.mark.parametrize("n", [1, 511, 512, 513])
+    @pytest.mark.parametrize(
+        "n", [1, 511, 512, 513, SQUARE_EDGE - 1, SQUARE_EDGE, SQUARE_EDGE + 1, 2 * SQUARE_EDGE + 1]
+    )
     def test_square_matches_one_block(self, n):
-        # at d = 4 a block holds 512 rows of a 512-row input: 511 and 512 fit
-        # in one block, 513 needs two
+        # at d = 4 an n-row input takes blocks of _CHUNK_ELEMENTS // (4 * n)
+        # rows: SQUARE_EDGE rows or fewer fit in one block, more need several
         x = np.random.default_rng(n).normal(size=(n, 4)) * [1.0, 10.0, 1e3, 1e-3]
         x[n // 2] = x[0]
         assert np.array_equal(detectors._sq_dists(x, x), broadcast_sq_dists(x, x))
 
-    @pytest.mark.parametrize("n", [1, 435, 436, 437, 873])
+    @pytest.mark.parametrize(
+        "n", [1, 435, 436, 437, 873, RECT_STEP - 1, RECT_STEP, RECT_STEP + 1, 2 * RECT_STEP + 1]
+    )
     def test_rectangular_matches_one_block(self, n):
-        # a 300x8 right side gives blocks of 436 rows
+        # a 300x8 right side gives blocks of RECT_STEP rows
         rng = np.random.default_rng(n)
         b = rng.normal(size=(300, 8))
         a = rng.normal(size=(n, 8))
@@ -128,6 +140,47 @@ class TestSqDists:
             finally:
                 tracemalloc.stop()
         assert peaks[1] / peaks[0] < 2
+
+    @pytest.mark.parametrize("d", [2, 11])
+    def test_scratch_memory_stays_within_one_block(self, d):
+        x = np.random.default_rng(d).normal(size=(800, d))
+        tracemalloc.start()
+        try:
+            out = detectors._sq_dists(x, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # slack: the buffers numpy's ufunc iterator sets up on each call, at
+        # most one of np.getbufsize() float64 per operand
+        slack = 3 * np.getbufsize() * 8
+        assert peak - out.nbytes <= detectors._CHUNK_ELEMENTS * 8 + slack
+
+
+@st.composite
+def lattice_rows(draw):
+    """Rows of small lattice values, with repeats and entries of -0.0 and 0.0."""
+    d = draw(st.sampled_from([1, 2, 11]))
+    values = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 2.0])
+    base = draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=0, max_size=40))
+    return np.array([base[i] for i in picks], dtype=np.float64).reshape(-1, d)
+
+
+class TestDistinct:
+    @given(lattice_rows())
+    def test_property_equals_numpy_unique_in_first_occurrence_order(self, x):
+        uniq, first, inverse, counts = np.unique(
+            x, axis=0, return_index=True, return_inverse=True, return_counts=True
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        rows, weight, got_inverse = detectors._distinct(x)
+        # bit for bit: a -0.0 that np.unique keeps stays -0.0
+        assert np.array_equal(rows.view(np.uint64), uniq[order].view(np.uint64))
+        assert np.array_equal(weight, counts[order].astype(np.float64))
+        assert weight.dtype == np.float64
+        assert np.array_equal(got_inverse, rank[inverse])
 
 
 class TestModifiedZscores:

@@ -540,6 +540,21 @@ def test_fold_memory_does_not_grow_with_the_file():
     assert _peak_fold_memory(eight) < 2 * _peak_fold_memory(one)
 
 
+def test_faulty_file_memory_does_not_hold_its_records():
+    """A fault found by the slice checks is re-raised by draining ``scan``,
+    which keeps none of the file's records."""
+    one = serialize(build_specimen(preset_spec("D2"), angle_deg=10.0, seed=3))
+    data = one.replace(b";LAYER:", b";layer:") * max(1, (1 << 20) // len(one)) + b"M83\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedFileError, match=r"relative extrusion \(M83\)"):
+            simulate(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(data)
+
+
 def _distinct_shape_moves(n: int) -> bytes:
     """``n`` moves, no two of one shape: the length of each parameter's digit
     run is one decimal digit of the move's index, plus one."""
